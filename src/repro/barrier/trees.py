@@ -17,14 +17,15 @@ Figure 2 topologies:
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.barrier.rb import make_rb
 from repro.gc.program import Program
 from repro.topology.embedding import spanning_tree_topology
 from repro.topology.graphs import kary_tree, two_ring
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def make_rb_two_ring(

@@ -10,34 +10,59 @@ replayable :class:`Reproducer` files.  ``repro-experiments chaos run``
 and ``chaos replay`` are the CLI surface.
 """
 
-from repro.chaos.adapters import ADAPTERS, Adapter, RunOutcome, get_adapter
-from repro.chaos.campaign import (
-    CampaignReport,
-    campaign_point,
-    derive_seed,
-    plan_for_run,
-    replay_file,
-    run_campaign,
-    shrink_run,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.chaos.adapters import ADAPTERS, Adapter, RunOutcome, get_adapter
+    from repro.chaos.campaign import (
+        CampaignReport,
+        campaign_point,
+        derive_seed,
+        plan_for_run,
+        replay_file,
+        run_campaign,
+        shrink_run,
+    )
+    from repro.chaos.monitors import (
+        AtMostMMonitor,
+        FailSafeMonitor,
+        GuaranteeViolation,
+        MaskingMonitor,
+        Monitor,
+        MonitorSet,
+        StabilizationMonitor,
+    )
+    from repro.chaos.plan import (
+        PLAN_VERSION,
+        CampaignConfig,
+        FaultEvent,
+        FaultPlan,
+        LinkPlan,
+        PartitionWindow,
+    )
+    from repro.chaos.shrink import Reproducer, ShrinkResult, shrink_plan
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "adapters": ("ADAPTERS", "Adapter", "RunOutcome", "get_adapter"),
+        "campaign": (
+            "CampaignReport", "campaign_point", "derive_seed", "plan_for_run",
+            "replay_file", "run_campaign", "shrink_run",
+        ),
+        "monitors": (
+            "AtMostMMonitor", "FailSafeMonitor", "GuaranteeViolation", "MaskingMonitor",
+            "Monitor", "MonitorSet", "StabilizationMonitor",
+        ),
+        "plan": (
+            "PLAN_VERSION", "CampaignConfig", "FaultEvent", "FaultPlan", "LinkPlan",
+            "PartitionWindow",
+        ),
+        "shrink": ("Reproducer", "ShrinkResult", "shrink_plan"),
+    },
 )
-from repro.chaos.monitors import (
-    AtMostMMonitor,
-    FailSafeMonitor,
-    GuaranteeViolation,
-    MaskingMonitor,
-    Monitor,
-    MonitorSet,
-    StabilizationMonitor,
-)
-from repro.chaos.plan import (
-    PLAN_VERSION,
-    CampaignConfig,
-    FaultEvent,
-    FaultPlan,
-    LinkPlan,
-    PartitionWindow,
-)
-from repro.chaos.shrink import Reproducer, ShrinkResult, shrink_plan
 
 __all__ = [
     "ADAPTERS",

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
-import numpy as np
-
 #: Format tag written into every serialized plan/reproducer.
 PLAN_VERSION = 1
 
@@ -299,6 +297,8 @@ class FaultPlan:
         """
         if min(detectable, undetectable, byzantine, permanent) < 0:
             raise ValueError("fault counts must be >= 0")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         events = []
         for is_detectable, n in ((True, detectable), (False, undetectable)):

@@ -7,7 +7,20 @@
 (:mod:`repro.simmpi`) are built on it.
 """
 
-from repro.des.core import Event, Simulation
-from repro.des.network import Link, Message, Network
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.des.core import Event, Simulation
+    from repro.des.network import Link, Message, Network
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": ("Event", "Simulation"),
+        "network": ("Link", "Message", "Network"),
+    },
+)
 
 __all__ = ["Event", "Simulation", "Link", "Message", "Network"]

@@ -13,12 +13,13 @@ import heapq
 import zlib
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
 from repro.obs.tracer import ensure_tracer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(order=True)
@@ -52,6 +53,8 @@ class Simulation:
     """A discrete-event simulation: schedule callbacks, run the clock."""
 
     def __init__(self, seed: Any = None, tracer: Any = None) -> None:
+        import numpy as np
+
         self._heap: list[Event] = []
         self._seq = count()
         self._now = 0.0
@@ -84,6 +87,8 @@ class Simulation:
         """Named RNG stream, seeded independently of all other streams."""
         gen = self._streams.get(stream)
         if gen is None:
+            import numpy as np
+
             # Stable across interpreter launches (Python's str hash is
             # salted; that would silently break run-to-run determinism).
             key = zlib.crc32(stream.encode("utf-8"))

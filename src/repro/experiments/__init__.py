@@ -8,7 +8,20 @@ of them::
     python -m repro.experiments fig5 --phases 500
 """
 
-from repro.experiments.report import ExperimentResult, render_table
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.report import ExperimentResult, render_table
+    from repro.experiments.registry import EXPERIMENTS, run_experiment
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "report": ("ExperimentResult", "render_table"),
+        "registry": ("EXPERIMENTS", "run_experiment"),
+    },
+)
 
 __all__ = ["ExperimentResult", "render_table", "EXPERIMENTS", "run_experiment"]

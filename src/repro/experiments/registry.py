@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from importlib import import_module
+from typing import Callable, Iterator, Mapping
 
-from repro.experiments import fig3, fig4, fig5, fig6, fig7, sensitivity, table1
 from repro.experiments.report import ExperimentResult
 
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "fig3": fig3.run,
-    "fig4": fig4.run,
-    "fig5": fig5.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "table1": table1.run,
-    "sensitivity": sensitivity.run,
-}
+_IDS = ("fig3", "fig4", "fig5", "fig6", "fig7", "table1", "sensitivity")
+
+
+class _Registry(Mapping[str, Callable[..., ExperimentResult]]):
+    """Read-only id -> runner; ``repro.experiments.<id>`` is imported on
+    first lookup, so listing the ids loads no figure module."""
+
+    def __getitem__(self, exp_id: str) -> Callable[..., ExperimentResult]:
+        if exp_id not in _IDS:
+            raise KeyError(exp_id)
+        return import_module(f"repro.experiments.{exp_id}").run
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_IDS)
+
+    def __len__(self) -> int:
+        return len(_IDS)
+
+
+EXPERIMENTS: Mapping[str, Callable[..., ExperimentResult]] = _Registry()
 
 
 def run_experiment(exp_id: str, **kwargs) -> ExperimentResult:

@@ -14,21 +14,42 @@
 * :mod:`repro.extensions.fuzzy` -- fuzzy barriers (split enter/wait).
 """
 
-from repro.extensions.classification import (
-    Correctability,
-    Detectability,
-    FaultClass,
-    Tolerance,
-    appropriate_tolerance,
-    classify,
-    STANDARD_FAULTS,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.extensions.classification import (
+        Correctability,
+        Detectability,
+        FaultClass,
+        Tolerance,
+        appropriate_tolerance,
+        classify,
+        STANDARD_FAULTS,
+    )
+    from repro.extensions.crash import with_byzantine, with_crash
+    from repro.extensions.failsafe import FailSafeMonitor, make_failsafe_cb
+    from repro.extensions.commit import TransactionOutcome, run_transactions
+    from repro.extensions.unison import clock_unison_invariant, clocks_of
+    from repro.extensions.phasesync import phase_sync_invariant
+    from repro.extensions.fuzzy import fuzzy_phase
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "classification": (
+            "Correctability", "Detectability", "FaultClass", "Tolerance",
+            "appropriate_tolerance", "classify", "STANDARD_FAULTS",
+        ),
+        "crash": ("with_byzantine", "with_crash"),
+        "failsafe": ("FailSafeMonitor", "make_failsafe_cb"),
+        "commit": ("TransactionOutcome", "run_transactions"),
+        "unison": ("clock_unison_invariant", "clocks_of"),
+        "phasesync": ("phase_sync_invariant",),
+        "fuzzy": ("fuzzy_phase",),
+    },
 )
-from repro.extensions.crash import with_byzantine, with_crash
-from repro.extensions.failsafe import FailSafeMonitor, make_failsafe_cb
-from repro.extensions.commit import TransactionOutcome, run_transactions
-from repro.extensions.unison import clock_unison_invariant, clocks_of
-from repro.extensions.phasesync import phase_sync_invariant
-from repro.extensions.fuzzy import fuzzy_phase
 
 __all__ = [
     "Correctability",

@@ -35,51 +35,88 @@ programs:
   the daemons and the explorer).
 """
 
-from repro.gc.domains import (
-    BOT,
-    TOP,
-    Domain,
-    EnumDomain,
-    IntRange,
-    SequenceNumberDomain,
-)
-from repro.gc.state import State
-from repro.gc.actions import Action, Update
-from repro.gc.program import Process, Program, VariableDecl
-from repro.gc.scheduler import (
-    Daemon,
-    MaximalParallelDaemon,
-    RandomFairDaemon,
-    RoundRobinDaemon,
-)
-from repro.gc.simulator import RunResult, Simulator
-from repro.gc.timed import TimedResult, TimedSimulator
-from repro.gc.faults import (
-    BernoulliSchedule,
-    ExponentialSchedule,
-    FaultInjector,
-    FaultSpec,
-    OneShotSchedule,
-)
-from repro.gc.trace import Trace, TraceEvent, trace_digest
-from repro.gc.properties import (
-    check_closure,
-    converges,
-    convergence_steps,
-    holds_throughout,
-)
-from repro.gc.compile import CompiledProgram, StateCodec
-from repro.gc.explore import ExplorationResult, Explorer
-from repro.gc.notation import NotationError, compile_program, parse
-from repro.gc.temporal import (
-    Verdict,
-    always,
-    atom,
-    eventually,
-    eventually_always,
-    leads_to,
-    record_run,
-    until,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.gc.domains import (
+        BOT,
+        TOP,
+        Domain,
+        EnumDomain,
+        IntRange,
+        SequenceNumberDomain,
+    )
+    from repro.gc.state import State
+    from repro.gc.actions import Action, Update
+    from repro.gc.program import Process, Program, VariableDecl
+    from repro.gc.scheduler import (
+        Daemon,
+        MaximalParallelDaemon,
+        RandomFairDaemon,
+        RoundRobinDaemon,
+    )
+    from repro.gc.simulator import RunResult, Simulator
+    from repro.gc.timed import TimedResult, TimedSimulator
+    from repro.gc.faults import (
+        BernoulliSchedule,
+        ExponentialSchedule,
+        FaultInjector,
+        FaultSpec,
+        OneShotSchedule,
+    )
+    from repro.gc.trace import Trace, TraceEvent, trace_digest
+    from repro.gc.properties import (
+        check_closure,
+        converges,
+        convergence_steps,
+        holds_throughout,
+    )
+    from repro.gc.compile import CompiledProgram, StateCodec
+    from repro.gc.explore import ExplorationResult, Explorer
+    from repro.gc.notation import NotationError, compile_program, parse
+    from repro.gc.temporal import (
+        Verdict,
+        always,
+        atom,
+        eventually,
+        eventually_always,
+        leads_to,
+        record_run,
+        until,
+    )
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "domains": (
+            "BOT", "TOP", "Domain", "EnumDomain", "IntRange", "SequenceNumberDomain",
+        ),
+        "state": ("State",),
+        "actions": ("Action", "Update"),
+        "program": ("Process", "Program", "VariableDecl"),
+        "scheduler": (
+            "Daemon", "MaximalParallelDaemon", "RandomFairDaemon", "RoundRobinDaemon",
+        ),
+        "simulator": ("RunResult", "Simulator"),
+        "timed": ("TimedResult", "TimedSimulator"),
+        "faults": (
+            "BernoulliSchedule", "ExponentialSchedule", "FaultInjector", "FaultSpec",
+            "OneShotSchedule",
+        ),
+        "trace": ("Trace", "TraceEvent", "trace_digest"),
+        "properties": (
+            "check_closure", "converges", "convergence_steps", "holds_throughout",
+        ),
+        "compile": ("CompiledProgram", "StateCodec"),
+        "explore": ("ExplorationResult", "Explorer"),
+        "notation": ("NotationError", "compile_program", "parse"),
+        "temporal": (
+            "Verdict", "always", "atom", "eventually", "eventually_always", "leads_to",
+            "record_run", "until",
+        ),
+    },
 )
 
 __all__ = [

@@ -23,12 +23,13 @@ import tempfile
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+from repro.chaos.adapters import monitors_for
 from repro.chaos.plan import FaultPlan
 from repro.net.faults import FaultyTransport
-from repro.net.mbnode import MBRingNode
 from repro.net.node import Timing
+from repro.net.shard import SHARD_TRANSPORTS, run_sharded
 from repro.net.transport import (
     Transport,
     create_mem_transports,
@@ -120,8 +121,6 @@ class NetConfig:
             raise ValueError("shards must be >= 1")
         if self.batch_bytes < 1:
             raise ValueError("batch_bytes must be >= 1")
-        from repro.net.shard import SHARD_TRANSPORTS
-
         if self.shard_transport not in SHARD_TRANSPORTS:
             raise ValueError(
                 f"unknown shard_transport {self.shard_transport!r}; "
@@ -250,10 +249,67 @@ def _fault_schedules(
     return resets, permanents, byzantines
 
 
+def _node_builder(config: NetConfig) -> Callable[[int, Any, Any], tuple[Any, Any]]:
+    """``(pid, transport, tracer) -> (node, its main coroutine)``.
+
+    The single-loop runtime and every shard worker wire nodes through
+    this one function -- fault schedules, defense switch, plan seed and
+    fail-stop awareness must match or sharded digests diverge from
+    single-loop ones.  Only the configured protocol's node module is
+    imported: a tree job never loads the MB machine.
+    """
+    plan = config.plan
+    crashes, permanents, byzantines = _fault_schedules(plan)
+    common: dict[str, Any] = dict(
+        barriers=config.barriers,
+        timing=config.timing,
+        defense=config.defense,
+        plan_seed=plan.seed if plan is not None else config.seed,
+        fail_stop_aware=bool(permanents),
+    )
+
+    if config.protocol == "tree":
+
+        def build(pid: int, transport: Any, tracer: Any) -> tuple[Any, Any]:
+            node = TreeBarrierNode(
+                pid,
+                config.nodes,
+                transport,
+                arity=config.arity,
+                crash_rounds=[max(0, int(w)) for w in crashes.get(pid, ())],
+                permanent_rounds=[
+                    max(0, int(w)) for w in permanents.get(pid, ())
+                ],
+                byzantine_rounds=[
+                    max(0, int(w)) for w in byzantines.get(pid, ())
+                ],
+                tracer=tracer,
+                **common,
+            )
+            return node, node.run_rounds()
+
+    else:
+        from repro.net.mbnode import MBRingNode
+
+        def build(pid: int, transport: Any, tracer: Any) -> tuple[Any, Any]:
+            node = MBRingNode(
+                pid,
+                config.nodes,
+                transport,
+                nphases=config.nphases,
+                crash_times=crashes.get(pid, ()),
+                permanent_times=permanents.get(pid, ()),
+                byzantine_times=byzantines.get(pid, ()),
+                tracer=tracer,
+                **common,
+            )
+            return node, node.run_protocol()
+
+    return build
+
+
 async def run_async(config: NetConfig) -> NetResult:
     if config.shards > 1:
-        from repro.net.shard import run_sharded
-
         # The sharded coordinator blocks on pipes and process joins;
         # keep this loop responsive while it runs.
         return await asyncio.to_thread(run_sharded, config)
@@ -316,51 +372,13 @@ async def run_async(config: NetConfig) -> NetResult:
         tracers = {pid: Tracer() for pid in range(config.nodes)}
 
     # -- nodes ---------------------------------------------------------
-    crashes, permanents, byzantines = _fault_schedules(plan)
-    plan_seed = plan.seed if plan is not None else config.seed
-    fail_stop_aware = bool(permanents)
+    build_node = _node_builder(config)
     nodes: list[Any] = []
     mains = []
     for pid in range(config.nodes):
-        if config.protocol == "tree":
-            node = TreeBarrierNode(
-                pid,
-                config.nodes,
-                transports[pid],
-                barriers=config.barriers,
-                arity=config.arity,
-                crash_rounds=[max(0, int(w)) for w in crashes.get(pid, ())],
-                permanent_rounds=[
-                    max(0, int(w)) for w in permanents.get(pid, ())
-                ],
-                byzantine_rounds=[
-                    max(0, int(w)) for w in byzantines.get(pid, ())
-                ],
-                tracer=tracers[pid],
-                timing=config.timing,
-                defense=config.defense,
-                plan_seed=plan_seed,
-                fail_stop_aware=fail_stop_aware,
-            )
-            mains.append(node.run_rounds())
-        else:
-            node = MBRingNode(
-                pid,
-                config.nodes,
-                transports[pid],
-                barriers=config.barriers,
-                nphases=config.nphases,
-                crash_times=crashes.get(pid, ()),
-                permanent_times=permanents.get(pid, ()),
-                byzantine_times=byzantines.get(pid, ()),
-                tracer=tracers[pid],
-                timing=config.timing,
-                defense=config.defense,
-                plan_seed=plan_seed,
-                fail_stop_aware=fail_stop_aware,
-            )
-            mains.append(node.run_protocol())
+        node, main = build_node(pid, transports[pid], tracers[pid])
         nodes.append(node)
+        mains.append(main)
 
     # -- run -----------------------------------------------------------
     if plane is not None:
@@ -497,8 +515,6 @@ def _metrics_summary(
 ) -> dict[str, Any]:
     """The scrape-ready run summary: digest + per-guarantee verdicts,
     plus ring/merge accounting when the live plane ran."""
-    from repro.chaos.adapters import monitors_for
-
     checked = sorted(
         {
             m.guarantee
@@ -532,7 +548,5 @@ def run_sync(config: NetConfig) -> NetResult:
     runs the single-loop path.
     """
     if config.shards > 1:
-        from repro.net.shard import run_sharded
-
         return run_sharded(config)
     return asyncio.run(run_async(config))

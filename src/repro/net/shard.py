@@ -406,9 +406,7 @@ def _worker_main(spec: ShardSpec, conn: Any) -> None:
 
 async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
     from repro.net.faults import FaultyTransport
-    from repro.net.mbnode import MBRingNode
-    from repro.net.runtime import _fault_schedules
-    from repro.net.tree import TreeBarrierNode
+    from repro.net.runtime import _node_builder
     from repro.obs.recorder import FlightRecorder
     from repro.obs.tracer import NullTracer
 
@@ -451,54 +449,12 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
             for pid in fabric.local_pids
         }
 
-    crashes, permanents, byzantines = _fault_schedules(plan)
-    # Mirrors the single-loop runtime's node wiring exactly: fault
-    # schedules, defense switch, plan seed and fail-stop awareness must
-    # match or sharded digests diverge from single-loop ones.
-    plan_seed = plan.seed if plan is not None else config.seed
-    fail_stop_aware = bool(permanents)
+    build_node = _node_builder(config)
     nodes: dict[int, Any] = {}
     mains = []
     for pid in fabric.local_pids:
-        if config.protocol == "tree":
-            node = TreeBarrierNode(
-                pid,
-                config.nodes,
-                transports[pid],
-                barriers=config.barriers,
-                arity=config.arity,
-                crash_rounds=[max(0, int(w)) for w in crashes.get(pid, ())],
-                permanent_rounds=[
-                    max(0, int(w)) for w in permanents.get(pid, ())
-                ],
-                byzantine_rounds=[
-                    max(0, int(w)) for w in byzantines.get(pid, ())
-                ],
-                tracer=tracers[pid],
-                timing=config.timing,
-                defense=config.defense,
-                plan_seed=plan_seed,
-                fail_stop_aware=fail_stop_aware,
-            )
-            mains.append(node.run_rounds())
-        else:
-            node = MBRingNode(
-                pid,
-                config.nodes,
-                transports[pid],
-                barriers=config.barriers,
-                nphases=config.nphases,
-                crash_times=crashes.get(pid, ()),
-                permanent_times=permanents.get(pid, ()),
-                byzantine_times=byzantines.get(pid, ()),
-                tracer=tracers[pid],
-                timing=config.timing,
-                defense=config.defense,
-                plan_seed=plan_seed,
-                fail_stop_aware=fail_stop_aware,
-            )
-            mains.append(node.run_protocol())
-        nodes[pid] = node
+        nodes[pid], main = build_node(pid, transports[pid], tracers[pid])
+        mains.append(main)
 
     wall_start = _time.perf_counter()
     gathered = asyncio.gather(*mains)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from repro.chaos.adapters import monitors_for
+from repro.chaos.monitors import MonitorSet
 from repro.chaos.plan import FaultPlan
 from repro.obs.events import (
     DETECT,
@@ -116,9 +118,6 @@ def check_merged(
     Returns ``(violations, spans)`` -- the stabilization spans are the
     Figure 7 quantity measured over Lamport time.
     """
-    from repro.chaos.adapters import monitors_for
-    from repro.chaos.monitors import MonitorSet
-
     events = monitor_stream(merged)
     tracer = Tracer()
     # Strict fail-safe checking (success-after-fault) only where Lamport

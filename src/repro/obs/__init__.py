@@ -21,70 +21,91 @@ Quick start::
     print(summarize(tracer.events).render())
 """
 
-from repro.obs.events import (
-    DETECT,
-    EVENT_KINDS,
-    FAULT,
-    MSG_RECV,
-    MSG_SEND,
-    PHASE_END,
-    PHASE_START,
-    RECOVERY,
-    TOKEN_PASS,
-    ObsEvent,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.events import (
+        DETECT,
+        EVENT_KINDS,
+        FAULT,
+        MSG_RECV,
+        MSG_SEND,
+        PHASE_END,
+        PHASE_START,
+        RECOVERY,
+        TOKEN_PASS,
+        ObsEvent,
+    )
+    from repro.obs.causal import (
+        CausalReport,
+        FaultChain,
+        build_chains,
+        causal_report,
+    )
+    from repro.obs.jsonl import iter_jsonl, read_jsonl, write_jsonl
+    from repro.obs.metrics import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsError,
+        MetricsObserver,
+        MetricsRegistry,
+        PromSample,
+        metrics_from_trace,
+        parse_exposition,
+        parse_prometheus_text,
+        render_exposition,
+    )
+    from repro.obs.summary import TraceSummary, summarize
+    from repro.obs.tracer import NULL_TRACER, NullTracer, ObsError, Tracer, ensure_tracer
+    from repro.obs.observer import BarrierPhaseObserver
+    from repro.obs.recorder import (
+        PROTOCOL_KINDS,
+        SNAPSHOT_KIND,
+        FlightRecorder,
+        digest_of_rows,
+        projection_row,
+        read_snapshot,
+    )
+    from repro.obs.spans import Span, SpanFolder
+    from repro.obs.live import (
+        LivePlane,
+        StreamingMerger,
+        monitor_filter,
+        run_monitors_streaming,
+    )
+    from repro.obs.http import ObsHttpServer
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": (
+            "DETECT", "EVENT_KINDS", "FAULT", "MSG_RECV", "MSG_SEND", "PHASE_END",
+            "PHASE_START", "RECOVERY", "TOKEN_PASS", "ObsEvent",
+        ),
+        "causal": ("CausalReport", "FaultChain", "build_chains", "causal_report"),
+        "jsonl": ("iter_jsonl", "read_jsonl", "write_jsonl"),
+        "metrics": (
+            "Counter", "Gauge", "Histogram", "MetricsError", "MetricsObserver",
+            "MetricsRegistry", "PromSample", "metrics_from_trace", "parse_exposition",
+            "parse_prometheus_text", "render_exposition",
+        ),
+        "summary": ("TraceSummary", "summarize"),
+        "tracer": ("NULL_TRACER", "NullTracer", "ObsError", "Tracer", "ensure_tracer"),
+        "observer": ("BarrierPhaseObserver",),
+        "recorder": (
+            "PROTOCOL_KINDS", "SNAPSHOT_KIND", "FlightRecorder", "digest_of_rows",
+            "projection_row", "read_snapshot",
+        ),
+        "spans": ("Span", "SpanFolder"),
+        "live": (
+            "LivePlane", "StreamingMerger", "monitor_filter", "run_monitors_streaming",
+        ),
+        "http": ("ObsHttpServer",),
+    },
 )
-from repro.obs.causal import (
-    CausalReport,
-    FaultChain,
-    build_chains,
-    causal_report,
-)
-from repro.obs.jsonl import iter_jsonl, read_jsonl, write_jsonl
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsObserver,
-    MetricsRegistry,
-    PromSample,
-    metrics_from_trace,
-    parse_exposition,
-    parse_prometheus_text,
-    render_exposition,
-)
-from repro.obs.summary import TraceSummary, summarize
-from repro.obs.tracer import NULL_TRACER, NullTracer, ObsError, Tracer, ensure_tracer
-
-
-#: Lazily exported names -> defining submodule.  The observer imports
-#: repro.barrier (for CP) and the live plane imports repro.chaos -- both
-#: of which import repro.obs.tracer, so eager imports here would cycle.
-_LAZY = {
-    "BarrierPhaseObserver": "repro.obs.observer",
-    "FlightRecorder": "repro.obs.recorder",
-    "PROTOCOL_KINDS": "repro.obs.recorder",
-    "SNAPSHOT_KIND": "repro.obs.recorder",
-    "projection_row": "repro.obs.recorder",
-    "digest_of_rows": "repro.obs.recorder",
-    "read_snapshot": "repro.obs.recorder",
-    "Span": "repro.obs.spans",
-    "SpanFolder": "repro.obs.spans",
-    "StreamingMerger": "repro.obs.live",
-    "LivePlane": "repro.obs.live",
-    "monitor_filter": "repro.obs.live",
-    "run_monitors_streaming": "repro.obs.live",
-    "ObsHttpServer": "repro.obs.http",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
 
 __all__ = [
     "ObsEvent",
@@ -123,7 +144,7 @@ __all__ = [
     "CausalReport",
     "build_chains",
     "causal_report",
-    # live telemetry plane (lazy)
+    # live telemetry plane
     "FlightRecorder",
     "PROTOCOL_KINDS",
     "SNAPSHOT_KIND",

@@ -10,9 +10,28 @@ See :mod:`repro.perf.bench` for the workloads and the gating rules;
 runs everything and writes ``BENCH_perf.json``.
 """
 
-from repro.perf.bench import (  # noqa: F401
-    BASELINE_PATH,
-    BENCH_PATH,
-    compare_reports,
-    measure,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.perf.bench import (
+        BASELINE_PATH,
+        BENCH_PATH,
+        compare_reports,
+        measure,
+    )
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bench": ("BASELINE_PATH", "BENCH_PATH", "compare_reports", "measure"),
+    },
 )
+
+__all__ = [
+    "BASELINE_PATH",
+    "BENCH_PATH",
+    "compare_reports",
+    "measure",
+]

@@ -16,11 +16,27 @@ protocol (Figure 2c):
   recovery experiment.
 """
 
-from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
-from repro.protosim.intolerant import IntolerantTreeBarrierSim
-from repro.protosim.faultenv import DetectableFaultEnv
-from repro.protosim.metrics import PhaseMetrics, overhead_vs_baseline
-from repro.protosim.recovery import RecoveryExperiment, RecoveryResult
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
+    from repro.protosim.intolerant import IntolerantTreeBarrierSim
+    from repro.protosim.faultenv import DetectableFaultEnv
+    from repro.protosim.metrics import PhaseMetrics, overhead_vs_baseline
+    from repro.protosim.recovery import RecoveryExperiment, RecoveryResult
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "treebarrier": ("FTTreeBarrierSim", "SimConfig"),
+        "intolerant": ("IntolerantTreeBarrierSim",),
+        "faultenv": ("DetectableFaultEnv",),
+        "metrics": ("PhaseMetrics", "overhead_vs_baseline"),
+        "recovery": ("RecoveryExperiment", "RecoveryResult"),
+    },
+)
 
 __all__ = [
     "FTTreeBarrierSim",

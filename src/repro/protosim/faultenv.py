@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, log
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass

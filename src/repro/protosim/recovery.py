@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import mean
 
-import numpy as np
-
 from repro.barrier.control import CP
 from repro.obs.tracer import ensure_tracer
 from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
@@ -87,6 +85,8 @@ class RecoveryExperiment:
     # ------------------------------------------------------------------
     def run_one(self, trial_seed: int) -> float:
         """One perturb-and-recover trial; returns the recovery time."""
+        import numpy as np
+
         config = SimConfig(
             latency=self.c,
             work_time=self.work_time,
@@ -154,6 +154,8 @@ class RecoveryExperiment:
         return at
 
     def run(self, trials: int = 50) -> RecoveryResult:
+        import numpy as np
+
         result = RecoveryResult(self.h, self.c)
         base = np.random.SeedSequence(self.seed)
         for i, child in enumerate(base.spawn(trials)):

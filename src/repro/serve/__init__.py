@@ -10,10 +10,25 @@ replayable load generator.
 - :mod:`repro.serve.cli` -- the ``repro-serve`` entry point
 """
 
-from repro.serve.client import ServeClient, ServeClientError, ServeTimeout
-from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.groups import BarrierGroup, GroupLimits
-from repro.serve.loadgen import LoadConfig, LoadResult, run_load
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.client import ServeClient, ServeClientError, ServeTimeout
+    from repro.serve.daemon import ServeConfig, ServeDaemon
+    from repro.serve.groups import BarrierGroup, GroupLimits
+    from repro.serve.loadgen import LoadConfig, LoadResult, run_load
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "client": ("ServeClient", "ServeClientError", "ServeTimeout"),
+        "daemon": ("ServeConfig", "ServeDaemon"),
+        "groups": ("BarrierGroup", "GroupLimits"),
+        "loadgen": ("LoadConfig", "LoadResult", "run_load"),
+    },
+)
 
 __all__ = [
     "BarrierGroup",

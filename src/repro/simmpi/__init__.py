@@ -20,9 +20,23 @@ collectives whose barrier offers all three modes:
   and always completes correctly.
 """
 
-from repro.simmpi.ftmodes import BarrierError, FTMode, JobAborted
-from repro.simmpi.mb_impl import MBMachine, MBPhaseLog, mb_barrier_program
-from repro.simmpi.runtime import Comm, RankEvent, Runtime
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.simmpi.ftmodes import BarrierError, FTMode, JobAborted
+    from repro.simmpi.mb_impl import MBMachine, MBPhaseLog, mb_barrier_program
+    from repro.simmpi.runtime import Comm, RankEvent, Runtime
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ftmodes": ("BarrierError", "FTMode", "JobAborted"),
+        "mb_impl": ("MBMachine", "MBPhaseLog", "mb_barrier_program"),
+        "runtime": ("Comm", "RankEvent", "Runtime"),
+    },
+)
 
 __all__ = [
     "FTMode",

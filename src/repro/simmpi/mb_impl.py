@@ -20,12 +20,14 @@ overlapping ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Mapping, Sequence
 
 from repro.barrier.control import CP
 from repro.gc.domains import BOT, TOP
 from repro.obs.tracer import ensure_tracer
-from repro.simmpi.runtime import Comm
+
+if TYPE_CHECKING:
+    from repro.simmpi.runtime import Comm
 
 #: Message tag for neighbour state pushes.
 STATE_TAG = 77

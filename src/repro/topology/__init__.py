@@ -7,14 +7,27 @@ set of *final* processes (ring: process N; tree: the leaves) before
 creating the next token.
 """
 
-from repro.topology.graphs import (
-    Topology,
-    double_tree,
-    kary_tree,
-    ring,
-    two_ring,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.topology.graphs import (
+        Topology,
+        double_tree,
+        kary_tree,
+        ring,
+        two_ring,
+    )
+    from repro.topology.embedding import embed_graph, spanning_tree_topology
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "graphs": ("Topology", "double_tree", "kary_tree", "ring", "two_ring"),
+        "embedding": ("embed_graph", "spanning_tree_topology"),
+    },
 )
-from repro.topology.embedding import embed_graph, spanning_tree_topology
 
 __all__ = [
     "Topology",

@@ -11,12 +11,13 @@ back to the original graph nodes.
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.errors import TopologyError
 from repro.topology.graphs import DoubleTree, Topology
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def spanning_tree_topology(
@@ -29,6 +30,8 @@ def spanning_tree_topology(
     :class:`Topology` validator exploits) and the mapping from pid back
     to the original node labels.
     """
+    import networkx as nx
+
     if root not in graph:
         raise TopologyError(f"root {root!r} not in graph")
     if graph.number_of_nodes() < 2:

@@ -30,12 +30,15 @@ What *is* gated:
   - the **headline**: at n=256 over real sockets, the sharded runtime
     (8 process shards, batched cross-shard links) sustains >=
     :data:`SHARD_HEADLINE_SPEEDUP` x the barrier throughput of the
-    single-loop socket runtime.  The single loop's per-message syscalls
-    push round latency past the resend timer and the run diverges into
-    resend amplification; sharding keeps every loop in the regime where
-    the timers are honest.  ``--quick`` runs a smaller n=64 point and
-    only sanity-gates the ratio (>= :data:`QUICK_MIN_RATIO`), because
-    at 64 nodes the single loop still (mostly) keeps up.
+    single-loop socket runtime.  Both sides send exactly the
+    protocol's 3(n-1) frames a round and resend nothing (the 0.4 s
+    timer is never crossed); the ratio is what one thread paying a
+    write syscall per message costs against eight loops on batched
+    links -- measured 2.3-3.4x on the 2-core build box (the committed
+    ``BENCH_net.json`` has 3.35x: 0.19 s vs 0.057 s a round).
+    ``--quick`` runs a smaller n=64 x 10 point and only sanity-gates
+    the ratio (>= :data:`QUICK_MIN_RATIO`): a tenth of a second of
+    protocol wall is too short to hold a floor to.
 
 The full run also records the scale curve -- sharded barrier latency /
 throughput at n=64, 256 and 1024 (the 1024-node acceptance topology:
@@ -76,11 +79,14 @@ DIGEST_PLAN = FaultPlan(
 )
 
 #: Deep-tree timers, identical on both sides of the headline ratio
-#: (also the 1024-node EXPERIMENTS.md recipe).  At n=256 the sharded
-#: loops turn a round in well under the 0.4 s resend timer; the
-#: single loop's per-message syscalls push its round latency *past*
-#: the timer, and it diverges into resend amplification -- which is
-#: exactly the failure mode sharding exists to stay out of.
+#: (also the 1024-node EXPERIMENTS.md recipe).  Under the default
+#: 40 ms timer a single-loop n=256 round (~140 ms over memory queues)
+#: honestly outlasts the timer and a fifth of the protocol frames are
+#: resends of merely-late ones (10 rounds: 12 498 sent, 2 690 resends,
+#: budget 7 650); at 0.4 s neither side of the headline resends at all
+#: (n=256 x 20: both send the 15 300-frame budget, the single loop in
+#: 2-4 s, 8 shards in ~1 s), so the ratio compares runtimes, not timer
+#: luck.
 SCALE_TIMING = Timing(
     resend=0.4, backoff=2.0, resend_max=2.0, hb_interval=2.0,
     finish_timeout=6.0,
@@ -210,7 +216,7 @@ def _throughput_point(
 
 
 def bench_headline(quick: bool) -> dict:
-    """Sharded vs single-loop sockets at the divergence scale.
+    """Sharded vs single-loop sockets at n=256 (n=64 when ``quick``).
 
     The single-loop side runs the plain socket transport (one write
     syscall per protocol message -- the deployment baseline the batched
@@ -416,7 +422,7 @@ def main(argv: list[str]) -> int:
             f"  scale n={point['nodes']:4d} {point['transport']:>9s}: "
             f"{point['round_latency_s'] * 1e3:8.1f} ms/barrier  "
             f"{point['barriers_per_s']:6.2f} barriers/s  "
-            f"{'ok' if point['reached'] else 'DIVERGED'}"
+            f"{'ok' if point['reached'] else 'NOT REACHED'}"
         )
     if args.update_baseline:
         base = write_report(baseline_from(report), args.baseline)

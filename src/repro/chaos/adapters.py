@@ -243,6 +243,8 @@ class GCAdapter(Adapter):
             program,
             RoundRobinDaemon(backend=self.backend),
             injector=injector,
+            # Monitors read the obs tracer; nobody reads result.trace.
+            record_trace=False,
             tracer=tracer,
         )
         result = sim.run(

@@ -1,14 +1,22 @@
 """The sharded runtime: process-per-shard event loops at 1000+ nodes.
 
-One asyncio loop tops out at a few dozen protocol nodes: every node's
-resend and heartbeat timer competes for the same GIL, round latency
-grows with N, and once it crosses the resend interval the runtime
-enters a message-amplification feedback (resends beget work beget
-longer rounds beget more resends) that diverges outright around a
-couple hundred nodes.  :func:`run_sharded` splits the node set across
-``config.shards`` worker processes -- each running its *own* event
-loop over the existing, unchanged node classes -- so the per-loop node
-count stays in the regime where the timers are honest.
+One asyncio loop runs every node's handlers, timers and queues on one
+thread, so a round's latency grows linearly with N.  Measured
+fault-free on the 2-core build box (arity 2, memory queues, default
+:class:`~repro.net.node.Timing`): 8 nodes turn a round in ~3 ms and
+send exactly the protocol's 3(n-1) frames; at 256 nodes a round takes
+~140 ms, honestly longer than the 40 ms resend timer, so senders
+re-announce frames that are merely late (10 rounds: 12 498 protocol
+frames for a 7 650-frame budget -- 2 690 resends plus the replies they
+draw).  That waste is bounded -- every sender still retires with its
+round and the run completes in 1.4 s -- but it is work one thread
+cannot shed.  :func:`run_sharded` splits the node set across
+``config.shards`` worker processes -- each running its *own* event loop
+over the existing, unchanged node classes -- so each loop carries
+N/shards nodes and the other cores do protocol work (256 nodes x 20
+rounds under ``bench_net.SCALE_TIMING``, whose 0.4 s timer neither side
+crosses: both send the 15 300-frame budget with 0 resends; 8 shards
+turn a round in ~50 ms, one loop over Unix sockets in 100-190 ms).
 
 Topology-aware partitioning (:func:`partition_nodes`) keeps protocol
 edges inside shards: the tree protocol is cut at the shallowest heap
@@ -22,8 +30,7 @@ carrying length-prefixed *routing records* (``(src, dst)`` header +
 frame body, :func:`~repro.net.frames.pack_record`).  Links batch: a
 record appends to a per-link buffer that flushes on a size boundary
 (``config.batch_bytes``) or at the end of the current event-loop turn,
-so a resend burst of hundreds of messages leaves in a handful of
-syscalls.
+so a wave of hundreds of messages leaves in a handful of syscalls.
 
 Every existing guarantee survives sharding:
 

@@ -11,7 +11,14 @@ an arrive wave up the tree and a release wave down it.
   or crash on the downstream path;
 * releases are resent until the child acks (``rack``), and both waves
   are monotone (tracked as per-peer high-water marks), so duplicates
-  and reordering are harmless by construction.
+  and reordering are harmless by construction;
+* a sender retires with its round: each resend loop tests the round it
+  was spawned for (bound by value, never the loop's current round), so
+  once round *r* is released and acked nothing about *r* is sent again.
+  A fault-free round therefore costs exactly one ``arrive``, one
+  ``release`` and one ``rack`` per tree edge -- 3(n-1) frames -- and
+  every resend in a run is an honest timer expiry (a lost frame, a
+  crashed peer, or a round slower than ``Timing.resend``).
 
 Crash-restart is the paper's detectable-fault reset path: the node
 loses every volatile table (arrivals, acks, dedup, pending resends, the
@@ -34,6 +41,7 @@ it -- masking made visible in the trace.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from typing import Sequence
 
 from repro.net.frames import Message
@@ -275,6 +283,28 @@ class TreeBarrierNode(NetNode):
                 float(self.clock.tick()), self.node_id, round=self.round
             )
 
+    # -- per-round predicates ------------------------------------------
+    # ``run_rounds`` hands these to ``wait_for``/``send_until`` as
+    # ``partial(self._pred, r)``: the round is bound by value, so a
+    # sender spawned for round r keeps testing round r after the loop
+    # has moved on, and retires with it.
+    def _children_arrived(self, r: int) -> bool:
+        return (
+            all(self._last_arrive.get(c, -1) >= r for c in self.children)
+            or self.failsafe
+        )
+
+    def _released(self, r: int) -> bool:
+        return self._max_release >= r or self.failsafe
+
+    def _arrive_settled(self, r: int) -> bool:
+        # ``round > r`` also covers a crash: the restarted node re-arms
+        # through resync, not through this sender.
+        return self._max_release >= r or self.round > r or self.failsafe
+
+    def _release_settled(self, child: int, r: int) -> bool:
+        return self._release_acked.get(child, -1) >= r or self.failsafe
+
     # -- the protocol --------------------------------------------------
     async def run_rounds(self) -> None:
         """Complete ``barriers`` rounds, surviving the configured faults."""
@@ -295,12 +325,7 @@ class TreeBarrierNode(NetNode):
             if work:
                 await asyncio.sleep(work)
             # Arrive wave: every child's subtree has reached round r.
-            await self.wait_for(
-                lambda: all(
-                    self._last_arrive.get(c, -1) >= r for c in self.children
-                )
-                or self.failsafe
-            )
+            await self.wait_for(partial(self._children_arrived, r))
             if self.failsafe:
                 break
             if self.parent is None:
@@ -313,14 +338,10 @@ class TreeBarrierNode(NetNode):
                         self.parent,
                         "arrive",
                         {"round": r},
-                        lambda: self._max_release >= r
-                        or self.round > r  # a crash re-arms via resync
-                        or self.failsafe,
+                        partial(self._arrive_settled, r),
                     )
                 )
-                await self.wait_for(
-                    lambda: self._max_release >= r or self.failsafe
-                )
+                await self.wait_for(partial(self._released, r))
                 if self.failsafe:
                     break
             self.round = r + 1
@@ -332,9 +353,7 @@ class TreeBarrierNode(NetNode):
                         child,
                         "release",
                         {"round": r},
-                        lambda child=child: self._release_acked.get(child, -1)
-                        >= r
-                        or self.failsafe,
+                        partial(self._release_settled, child, r),
                     )
                 )
         if self.failsafe:

@@ -175,7 +175,7 @@ def build_scripts(config: LoadConfig) -> list[ClientScript]:
         # Index 0 anchors the group: it creates and never misbehaves.
         pool = members[1:]
         rng.shuffle(pool)
-        take = lambda k: [pool.pop() for _ in range(k)]  # noqa: E731
+        take = lambda k, pool=pool: [pool.pop() for _ in range(k)]  # noqa: E731
         byz = take(config.byzantine if g == 0 else 0)
         leavers = take(config.leavers)
         crashers = take(config.crashers)

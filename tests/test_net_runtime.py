@@ -32,6 +32,36 @@ def test_clean_tree_run_mem():
     assert times == sorted(times)
 
 
+def frame_totals(result) -> dict[str, int]:
+    """Protocol frames (heartbeats excluded) and resends, over all nodes."""
+    stats = result.node_stats.values()
+    return {
+        "frames": sum(s["sent"] - s["hb_sent"] for s in stats),
+        "resends": sum(s["resends"] for s in stats),
+    }
+
+
+@pytest.mark.parametrize("nodes,barriers", [(3, 100), (5, 200), (8, 40)])
+def test_clean_tree_round_costs_exactly_three_frames_per_edge(nodes, barriers):
+    """A fault-free round is one arrive, one release and one rack per
+    tree edge, and a sender retires with its round: no resend, ever."""
+    result = run_sync(
+        NetConfig(
+            nodes=nodes,
+            barriers=barriers,
+            protocol="tree",
+            transport="mem",
+            seed=3,
+            timeout_s=10.0,
+        )
+    )
+    assert result.ok and result.reached
+    assert frame_totals(result) == {
+        "frames": 3 * (nodes - 1) * barriers,
+        "resends": 0,
+    }
+
+
 def test_acceptance_seeded_drop_partition_replays_identically():
     """The PR's acceptance criterion: a 5-node 20-barrier run under a
     seeded drop+partition plan completes with zero monitor violations,

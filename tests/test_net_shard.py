@@ -194,6 +194,20 @@ def test_sharded_matches_single_loop_digest_and_replays():
     assert shard_a.link_stats["xshard_flushes"] <= shard_a.link_stats["xshard_records"]
 
 
+def test_clean_sharded_frame_budget_equals_single_loop():
+    """Cutting the tree across processes adds no frame: 16 nodes in 2
+    shards send the single-loop run's 3 per edge per round, resend
+    nothing, and narrate the same digest."""
+    single = run_sync(_config(plan=None))
+    sharded = run_sync(_config(plan=None, shards=2))
+    for result in (single, sharded):
+        assert result.ok and result.reached
+        stats = result.node_stats.values()
+        assert sum(s["resends"] for s in stats) == 0
+        assert sum(s["sent"] - s["hb_sent"] for s in stats) == 3 * 15 * 6
+    assert single.digest == sharded.digest
+
+
 def test_mb_sharded_with_crash():
     plan = FaultPlan(
         nprocs=6, seed=9, events=(FaultEvent(pid=2, when=1.0),)

@@ -25,14 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.chaos.monitors import (
-    AtMostMMonitor,
-    FailSafeMonitor,
-    GuaranteeViolation,
-    MaskingMonitor,
-    MonitorSet,
-    StabilizationMonitor,
-)
+from repro.chaos.monitors import GuaranteeViolation, MonitorSet, monitors_for
 from repro.chaos.plan import CampaignConfig, FaultPlan
 from repro.obs.tracer import Tracer
 
@@ -71,34 +64,6 @@ class RunOutcome:
         }
 
 
-def monitors_for(plan: FaultPlan, nphases: int | None, strict: bool = True):
-    """The monitor battery appropriate for a plan's fault mix.
-
-    Masking (and the at-most-m damage bound, whose accounting assumes
-    one doomed instance per fault) only applies to purely-detectable
-    schedules -- an undetectable scramble may smuggle a wrong phase
-    number into an apparently successful instance, which is exactly the
-    behaviour stabilization (always on) is allowed to repair.
-
-    An *adversarial* plan (uncorrectable strikes or hostile link
-    traffic) switches the battery entirely: masking, at-most-m and
-    stabilization all assume every fault is correctable, so under
-    permanent crashes or Byzantine peers the one checkable guarantee is
-    Section 7's fail-safe rule -- may stop, never wrongly complete.
-    ``strict`` additionally enforces the no-success-after-onset rule
-    where trace time orders faults exactly (gc steps, tree rounds);
-    pass ``False`` for MB-style concurrent narration.
-    """
-    if plan.adversarial:
-        return [FailSafeMonitor(strict=strict)]
-    monitors: list[Any] = []
-    if not plan.undetectable_events and not (plan.link and plan.link.any):
-        monitors.append(MaskingMonitor(nphases=nphases))
-        monitors.append(AtMostMMonitor())
-    monitors.append(StabilizationMonitor())
-    return monitors
-
-
 def _collect(
     target: str,
     plan: FaultPlan,
@@ -108,9 +73,6 @@ def _collect(
     end_time: float,
 ) -> RunOutcome:
     monitor_set.finish(reached, end_time)
-    spans: list[float] = []
-    for m in monitor_set.monitors:
-        spans.extend(getattr(m, "spans", ()))
     counters = tracer.counters
     successful = int(counters.get("obs.phases_successful", 0))
     if not successful:
@@ -128,7 +90,7 @@ def _collect(
         faults_fired=faults,
         successful_phases=successful,
         violations=monitor_set.violations,
-        spans=spans,
+        spans=monitor_set.spans,
         events=tuple(tracer.events),
     )
 
@@ -596,7 +558,6 @@ class NetAdapter(Adapter):
     defense = True
 
     def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
-        # Imported lazily: repro.net pulls in repro.chaos at import time.
         import math
 
         from repro.net.runtime import NetConfig, run_sync

@@ -25,9 +25,12 @@ first one after the run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.obs.events import FAULT, PHASE_END, PHASE_START, ObsEvent
+
+if TYPE_CHECKING:
+    from repro.chaos.plan import FaultPlan
 
 
 @dataclass
@@ -425,6 +428,34 @@ class FailSafeMonitor(Monitor):
             )
 
 
+def monitors_for(plan: FaultPlan, nphases: int | None, strict: bool = True):
+    """The monitor battery appropriate for a plan's fault mix.
+
+    Masking (and the at-most-m damage bound, whose accounting assumes
+    one doomed instance per fault) only applies to purely-detectable
+    schedules -- an undetectable scramble may smuggle a wrong phase
+    number into an apparently successful instance, which is exactly the
+    behaviour stabilization (always on) is allowed to repair.
+
+    An *adversarial* plan (uncorrectable strikes or hostile link
+    traffic) switches the battery entirely: masking, at-most-m and
+    stabilization all assume every fault is correctable, so under
+    permanent crashes or Byzantine peers the one checkable guarantee is
+    Section 7's fail-safe rule -- may stop, never wrongly complete.
+    ``strict`` additionally enforces the no-success-after-onset rule
+    where trace time orders faults exactly (gc steps, tree rounds);
+    pass ``False`` for MB-style concurrent narration.
+    """
+    if plan.adversarial:
+        return [FailSafeMonitor(strict=strict)]
+    monitors: list[Any] = []
+    if not plan.undetectable_events and not (plan.link and plan.link.any):
+        monitors.append(MaskingMonitor(nphases=nphases))
+        monitors.append(AtMostMMonitor())
+    monitors.append(StabilizationMonitor())
+    return monitors
+
+
 class MonitorSet:
     """Wire monitors into one tracer; collect everything they find.
 
@@ -465,6 +496,15 @@ class MonitorSet:
         for m in self.monitors:
             out.extend(m.violations)
         out.sort(key=lambda v: v.time)
+        return out
+
+    @property
+    def spans(self) -> list[float]:
+        """Convergence spans of the monitors that measure them (the
+        Figure 7 quantity), concatenated in monitor order."""
+        out: list[float] = []
+        for m in self.monitors:
+            out.extend(getattr(m, "spans", ()))
         return out
 
     def check(self) -> None:

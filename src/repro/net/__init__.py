@@ -52,7 +52,6 @@ if TYPE_CHECKING:
     from repro.net.trace import (
         PROTOCOL_KINDS,
         check_merged,
-        digest_projection,
         merge_traces,
         monitor_stream,
         trace_digest,
@@ -90,8 +89,8 @@ __getattr__, __dir__ = lazy_exports(
             "cross_edges", "partition_nodes", "run_sharded",
         ),
         "trace": (
-            "PROTOCOL_KINDS", "check_merged", "digest_projection", "merge_traces",
-            "monitor_stream", "trace_digest",
+            "PROTOCOL_KINDS", "check_merged", "merge_traces", "monitor_stream",
+            "trace_digest",
         ),
         "transport": (
             "MemHub", "MemTransport", "TcpTransport", "Transport", "TransportClosed",
@@ -134,7 +133,6 @@ __all__ = [
     "run_sharded",
     "PROTOCOL_KINDS",
     "check_merged",
-    "digest_projection",
     "merge_traces",
     "monitor_stream",
     "trace_digest",

@@ -1,19 +1,28 @@
-"""The distributed runtime: N nodes, one event loop, real faults.
+"""What a distributed run *is*: config in, nodes run, result out.
 
 :func:`run_sync` (and its coroutine :func:`run_async`) is the single
 entry point everything above uses -- the ``repro-experiments net run``
-CLI, the ``net:tree`` / ``net:mb`` chaos adapters, the benchmark, and
-the tests.  It builds the transport fabric (in-memory or TCP over
-localhost), wraps it in :class:`~repro.net.faults.FaultyTransport` when
-the :class:`~repro.chaos.plan.FaultPlan` carries link rates or
-partition windows, schedules the plan's crash-restart faults, runs the
-chosen protocol to completion under a wall-clock deadline, then merges
-the per-node traces, computes the replay digest, and checks the
-guarantee monitors post-run.
+CLI, the ``net:tree`` / ``net:mb`` chaos adapters, the benchmarks and
+the tests.  Behind it this module owns the run itself, however many
+event loops carry it:
 
-Nodes run as N asyncio tasks in one loop (the CI collapse of the
-paper's N processes); the TCP path still crosses real sockets, so the
-protocol code is deployment-shaped either way.
+* ``_run_group`` is the only place nodes are built, gathered under the
+  wall-clock deadline, stopped, closed and read.  It runs the nodes
+  behind the ports it is handed -- wrapped in
+  :class:`~repro.net.faults.FaultyTransport` when the
+  :class:`~repro.chaos.plan.FaultPlan` carries link rates or partition
+  windows -- and returns a picklable group report.
+* ``_assemble`` is the only place reports and recorded streams become
+  a :class:`NetResult`: progress, Lamport merge, replay digest,
+  guarantee monitors, ``merged.jsonl``, the scrape-ready summary.
+
+Single-loop is the one-group case: :func:`run_async` builds the fabric
+(in-memory, or TCP / Unix sockets over localhost -- real sockets, so
+the protocol code is deployment-shaped either way), picks the tracers,
+and runs all N nodes as one group in its own loop.  With ``shards > 1``
+:mod:`repro.net.shard` decides where nodes run -- it partitions them,
+hosts one group per worker process, and hands the collected reports
+back to the same ``_assemble``.
 """
 
 from __future__ import annotations
@@ -21,11 +30,12 @@ from __future__ import annotations
 import asyncio
 import tempfile
 import time as _time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.chaos.adapters import monitors_for
+from repro.chaos.monitors import monitors_for
 from repro.chaos.plan import FaultPlan
 from repro.net.faults import FaultyTransport
 from repro.net.node import Timing
@@ -157,6 +167,9 @@ class NetResult:
     faults_fired: int
     digest: str
     end_time: float
+    #: Protocol wall: the slowest group's gather-to-close seconds.
+    #: Fabric setup, worker spawn and post-run merge are outside it (a
+    #: sharded run reports those in ``metrics_summary["shards"]``).
     wall_s: float
     #: The run degraded into a fail-safe stop (some node condemned a
     #: peer, or died permanently).  A legitimate end state under
@@ -252,11 +265,8 @@ def _fault_schedules(
 def _node_builder(config: NetConfig) -> Callable[[int, Any, Any], tuple[Any, Any]]:
     """``(pid, transport, tracer) -> (node, its main coroutine)``.
 
-    The single-loop runtime and every shard worker wire nodes through
-    this one function -- fault schedules, defense switch, plan seed and
-    fail-stop awareness must match or sharded digests diverge from
-    single-loop ones.  Only the configured protocol's node module is
-    imported: a tree job never loads the MB machine.
+    Only the configured protocol's node module is imported: a tree job
+    never loads the MB machine.
     """
     plan = config.plan
     crashes, permanents, byzantines = _fault_schedules(plan)
@@ -308,91 +318,58 @@ def _node_builder(config: NetConfig) -> Callable[[int, Any, Any], tuple[Any, Any
     return build
 
 
-async def run_async(config: NetConfig) -> NetResult:
-    if config.shards > 1:
-        # The sharded coordinator blocks on pipes and process joins;
-        # keep this loop responsive while it runs.
-        return await asyncio.to_thread(run_sharded, config)
-    loop = asyncio.get_running_loop()
-    t0 = loop.time()
-    # -- fabric --------------------------------------------------------
-    raw: list[Transport]
-    sockdir: tempfile.TemporaryDirectory | None = None
-    if config.transport in ("tcp", "unix"):
-        if config.transport == "unix":
-            # Falls back to TCP on platforms without AF_UNIX.
-            sockdir = tempfile.TemporaryDirectory(prefix="net-unix-")
-        raw = list(
-            await create_tcp_transports(
-                config.nodes,
-                unix_dir=sockdir.name if sockdir is not None else None,
-            )
-        )
-    else:
-        raw = list(create_mem_transports(config.nodes))
+def _wrap_faulty(
+    config: NetConfig, ports: Mapping[int, Transport], clock: Callable[[], float]
+) -> dict[int, Transport]:
+    """``ports`` (pid -> raw transport), each behind a
+    :class:`~repro.net.faults.FaultyTransport` when the plan carries
+    link rates or partition windows; a crash-only plan leaves the
+    fabric untouched.  ``clock`` reads seconds since the run began --
+    the timeline partition windows are written on."""
     plan = config.plan
-    faulty = bool(
-        plan is not None and ((plan.link is not None and plan.link.any) or plan.partitions)
-    )
-    transports: list[Transport] = raw
-    if faulty:
-        clock = lambda: loop.time() - t0  # noqa: E731
-        transports = [
-            FaultyTransport(t, plan, clock=clock, max_delay=config.max_delay)
-            for t in raw
-        ]
+    if plan is None or not (
+        (plan.link is not None and plan.link.any) or plan.partitions
+    ):
+        return dict(ports)
+    return {
+        pid: FaultyTransport(port, plan, clock=clock, max_delay=config.max_delay)
+        for pid, port in ports.items()
+    }
 
-    # -- telemetry plane ----------------------------------------------
-    nphases = None if config.protocol == "tree" else config.nphases
-    check_plan = plan if plan is not None else FaultPlan(nprocs=config.nodes)
-    plane = None
-    server = None
-    tracers: dict[int, Any]
-    if config.live_mode:
-        from repro.obs.live import LivePlane
 
-        plane = LivePlane(
-            config.nodes,
-            plan=check_plan,
-            nphases=nphases,
-            ring_capacity=config.ring_capacity,
-        )
-        tracers = {pid: plane.tracer_for(pid) for pid in range(config.nodes)}
-        if config.obs_port is not None:
-            from repro.obs.http import ObsHttpServer
+async def _then(main: Any, done: Callable[[int], None], pid: int) -> None:
+    try:
+        await main
+    finally:
+        # A finished (or cancelled) node must stop gating the streaming
+        # merge watermark.
+        done(pid)
 
-            server = await ObsHttpServer(plane, port=config.obs_port).start()
-            if config.obs_announce is not None:
-                config.obs_announce(server.url)
-    elif config.tracer_factory is not None:
-        tracers = {pid: config.tracer_factory(pid) for pid in range(config.nodes)}
-    elif not config.tracing:
-        tracers = {pid: NullTracer() for pid in range(config.nodes)}
-    else:
-        tracers = {pid: Tracer() for pid in range(config.nodes)}
 
-    # -- nodes ---------------------------------------------------------
+async def _run_group(
+    config: NetConfig,
+    ports: Mapping[int, Transport],
+    clock: Callable[[], float],
+    tracers: Mapping[int, Any],
+    on_done: Callable[[int], None] | None = None,
+) -> dict[str, Any]:
+    """Run the nodes behind ``ports`` to completion in this loop.
+
+    The one place nodes are built, gathered under ``timeout_s``,
+    stopped, closed and read: the single-loop runtime calls it with all
+    ``config.nodes`` ports, a shard worker with its share.  ``on_done``
+    is told each pid whose main coroutine has ended.  The report is
+    plain picklable data (a worker ships it over a pipe);
+    :func:`_assemble` folds any number of them into the result.
+    """
+    transports = _wrap_faulty(config, ports, clock)
     build_node = _node_builder(config)
-    nodes: list[Any] = []
+    nodes: dict[int, Any] = {}
     mains = []
-    for pid in range(config.nodes):
-        node, main = build_node(pid, transports[pid], tracers[pid])
-        nodes.append(node)
-        mains.append(main)
+    for pid in ports:
+        nodes[pid], main = build_node(pid, transports[pid], tracers[pid])
+        mains.append(main if on_done is None else _then(main, on_done, pid))
 
-    # -- run -----------------------------------------------------------
-    if plane is not None:
-        live_plane = plane
-
-        async def _with_done_mark(node_pid: int, coro: Any) -> None:
-            try:
-                await coro
-            finally:
-                # A finished (or cancelled) node must stop gating the
-                # streaming merge watermark.
-                live_plane.mark_done(node_pid)
-
-        mains = [_with_done_mark(pid, coro) for pid, coro in enumerate(mains)]
     wall_start = _time.perf_counter()
     gathered = asyncio.gather(*mains)
     timed_out = False
@@ -406,103 +383,212 @@ async def run_async(config: NetConfig) -> NetResult:
         except (asyncio.CancelledError, Exception):
             pass
     finally:
-        for node in nodes:
+        for node in nodes.values():
             await node.stop()
-        for transport in transports:
+        for transport in transports.values():
             await transport.close()
-        if sockdir is not None:
-            sockdir.cleanup()
     wall_s = _time.perf_counter() - wall_start
 
-    # -- post-run ------------------------------------------------------
-    if config.protocol == "tree":
-        completed = min(node.round for node in nodes)
-        reached = all(node.round >= config.barriers for node in nodes)
-    else:
-        completed = nodes[0].completed
-        reached = nodes[0].completed >= config.barriers
-    reached = reached and not timed_out
-    failsafe_stop = any(
-        getattr(node, "failsafe", False) or getattr(node, "dead", False)
-        for node in nodes
-    )
+    link_stats: Counter[str] = Counter()
+    for transport in transports.values():
+        if isinstance(transport, FaultyTransport):
+            link_stats.update(transport.stats)
 
-    if plane is not None:
-        # The streaming path already merged, monitored and digested;
-        # full per-node streams may be ring-truncated, so everything
-        # derives from the plane's (complete) merged view.
-        plane.finish(reached)
-        if server is not None:
-            await server.stop()
-        merged = list(plane.merged or [])
-        digest = plane.digest()
-        violations, spans = list(plane.violations), list(plane.spans)
-        successful = sum(
-            1
-            for e in merged
-            if e.kind == PHASE_END and e.pid == 0 and e.data.get("success")
-        )
-        faults_fired = sum(1 for e in merged if e.kind == FAULT)
-    else:
-        streams = {pid: tracers[pid].events for pid in tracers}
-        merged = merge_traces(streams)
-        digest = trace_digest(streams)
-        violations, spans = check_merged(merged, check_plan, nphases, reached)
-        successful = sum(
-            1
-            for e in streams[0]
-            if e.kind == PHASE_END and e.data.get("success")
-        )
-        faults_fired = sum(
-            1 for events in streams.values() for e in events if e.kind == FAULT
-        )
-    link_stats: dict[str, int] = {}
-    if faulty:
-        for transport in transports:
-            for key, value in transport.stats.items():  # type: ignore[attr-defined]
-                link_stats[key] = link_stats.get(key, 0) + value
-
+    # Per-node trace files: a ring recorder writes its snapshot segment
+    # (header + surviving window), a plain tracer its full event list,
+    # a tracer that keeps nothing writes nothing.
     trace_paths: list[str] = []
     if config.trace_dir is not None:
         out = Path(config.trace_dir)
         out.mkdir(parents=True, exist_ok=True)
         for pid, tracer in tracers.items():
-            if plane is not None:
+            if hasattr(tracer, "dump_snapshot"):
                 path = out / f"flight-{pid}.snapshot.jsonl"
-                plane.recorders[pid].dump_snapshot(path)
+                tracer.dump_snapshot(path)
             elif hasattr(tracer, "dump_jsonl"):
                 path = out / f"trace-{pid}.jsonl"
                 tracer.dump_jsonl(path)
             else:
                 continue
             trace_paths.append(str(path))
-        merged_path = out / "merged.jsonl"
+
+    return {
+        "timed_out": timed_out,
+        "failsafe_stop": any(
+            getattr(node, "failsafe", False) or getattr(node, "dead", False)
+            for node in nodes.values()
+        ),
+        # Tree nodes count rounds, ring nodes completed barriers.
+        "rounds": {
+            pid: node.round if config.protocol == "tree" else node.completed
+            for pid, node in nodes.items()
+        },
+        "node_stats": {pid: dict(node.stats) for pid, node in nodes.items()},
+        "link_stats": dict(link_stats),
+        "wall_s": wall_s,
+        "trace_paths": trace_paths,
+    }
+
+
+def _monitor_args(config: NetConfig) -> tuple[FaultPlan, int | None]:
+    """``(plan, nphases)`` as the guarantee monitors take them: an empty
+    plan for a fault-free run, and no phase wrap for the tree (whose
+    rounds are unbounded)."""
+    plan = config.plan if config.plan is not None else FaultPlan(nprocs=config.nodes)
+    return plan, None if config.protocol == "tree" else config.nphases
+
+
+def _assemble(
+    config: NetConfig,
+    reports: Sequence[Mapping[str, Any]],
+    streams: Mapping[int, Sequence[ObsEvent]],
+    plane: Any = None,
+    obs_url: str | None = None,
+) -> NetResult:
+    """Fold the group reports and recorded streams into the run's result.
+
+    The one place progress, the merged trace, the replay digest, the
+    guarantee verdicts, ``merged.jsonl`` and the :class:`NetResult` are
+    computed -- for one group or many.  ``streams`` maps each pid to its
+    events in emission order.  When the live ``plane`` ran it has
+    already merged, monitored and digested while the nodes executed, and
+    the per-node rings may be truncated, so everything derives from the
+    plane's (complete) merged view and ``streams`` goes unread.
+    """
+    rounds: dict[int, int] = {}
+    node_stats: dict[int, dict[str, int]] = {}
+    link_stats: Counter[str] = Counter()
+    trace_paths: list[str] = []
+    for report in reports:
+        rounds.update(report["rounds"])
+        node_stats.update(report["node_stats"])
+        link_stats.update(report["link_stats"])
+        trace_paths.extend(report["trace_paths"])
+    if config.protocol == "tree":
+        completed = min(rounds.values())
+        reached = all(r >= config.barriers for r in rounds.values())
+    else:
+        completed = rounds[0]
+        reached = completed >= config.barriers
+    reached = reached and not any(report["timed_out"] for report in reports)
+
+    check_plan, nphases = _monitor_args(config)
+    if plane is not None:
+        plane.finish(reached)
+        merged = list(plane.merged or [])
+        digest = plane.digest()
+        violations, spans = list(plane.violations), list(plane.spans)
+    else:
+        merged = merge_traces(streams)
+        digest = trace_digest(streams)
+        violations, spans = check_merged(merged, check_plan, nphases, reached)
+
+    if config.trace_dir is not None:
+        # Every group's ``_run_group`` has already created the directory.
+        merged_path = Path(config.trace_dir) / "merged.jsonl"
         Tracer.from_events(merged).dump_jsonl(merged_path)
         trace_paths.append(str(merged_path))
-
-    metrics_summary = _metrics_summary(
-        check_plan, nphases, digest, violations, spans, plane
-    )
 
     return NetResult(
         config=config,
         reached=reached,
         completed=completed,
-        successful_phases=successful,
-        faults_fired=faults_fired,
+        # Node 0 narrates the phases, as in every simulated engine.
+        successful_phases=sum(
+            1
+            for e in merged
+            if e.kind == PHASE_END and e.pid == 0 and e.data.get("success")
+        ),
+        faults_fired=sum(1 for e in merged if e.kind == FAULT),
         digest=digest,
         end_time=merged[-1].time if merged else 0.0,
-        wall_s=wall_s,
-        failsafe_stop=failsafe_stop,
+        wall_s=max(report["wall_s"] for report in reports),
+        failsafe_stop=any(report["failsafe_stop"] for report in reports),
         violations=list(violations),
         spans=list(spans),
-        node_stats={node.node_id: dict(node.stats) for node in nodes},
-        link_stats=link_stats,
+        node_stats=node_stats,
+        link_stats=dict(link_stats),
         merged_events=merged,
         trace_paths=trace_paths,
-        metrics_summary=metrics_summary,
-        obs_url=server.url if server is not None else None,
+        metrics_summary=_metrics_summary(
+            check_plan, nphases, digest, violations, spans, plane
+        ),
+        obs_url=obs_url,
     )
+
+
+async def run_async(config: NetConfig) -> NetResult:
+    if config.shards > 1:
+        # The sharded coordinator blocks on pipes and process joins;
+        # keep this loop responsive while it runs.
+        return await asyncio.to_thread(run_sharded, config)
+    loop = asyncio.get_running_loop()
+    t0 = loop.time()
+    pids = range(config.nodes)
+    sockdir: tempfile.TemporaryDirectory | None = None
+    server = None
+    try:
+        # -- fabric ----------------------------------------------------
+        if config.transport in ("tcp", "unix"):
+            if config.transport == "unix":
+                # Falls back to TCP on platforms without AF_UNIX.
+                sockdir = tempfile.TemporaryDirectory(prefix="net-unix-")
+            raw = await create_tcp_transports(
+                config.nodes,
+                unix_dir=sockdir.name if sockdir is not None else None,
+            )
+        else:
+            raw = create_mem_transports(config.nodes)
+
+        # -- telemetry plane -------------------------------------------
+        plane = None
+        tracers: dict[int, Any]
+        if config.live_mode:
+            from repro.obs.live import LivePlane
+
+            check_plan, nphases = _monitor_args(config)
+            plane = LivePlane(
+                config.nodes,
+                plan=check_plan,
+                nphases=nphases,
+                ring_capacity=config.ring_capacity,
+            )
+            tracers = {pid: plane.tracer_for(pid) for pid in pids}
+            if config.obs_port is not None:
+                from repro.obs.http import ObsHttpServer
+
+                server = await ObsHttpServer(plane, port=config.obs_port).start()
+                if config.obs_announce is not None:
+                    config.obs_announce(server.url)
+        elif config.tracer_factory is not None:
+            tracers = {pid: config.tracer_factory(pid) for pid in pids}
+        elif not config.tracing:
+            tracers = {pid: NullTracer() for pid in pids}
+        else:
+            tracers = {pid: Tracer() for pid in pids}
+
+        report = await _run_group(
+            config,
+            dict(enumerate(raw)),
+            lambda: loop.time() - t0,
+            tracers,
+            on_done=plane.mark_done if plane is not None else None,
+        )
+        streams = (
+            {} if plane is not None else {pid: tracers[pid].events for pid in pids}
+        )
+        return _assemble(
+            config,
+            [report],
+            streams,
+            plane,
+            obs_url=server.url if server is not None else None,
+        )
+    finally:
+        if server is not None:
+            await server.stop()
+        if sockdir is not None:
+            sockdir.cleanup()
 
 
 def _metrics_summary(

@@ -23,8 +23,8 @@ edges inside shards: the tree protocol is cut at the shallowest heap
 level with at least ``shards`` subtree roots (whole subtrees stay
 together, so only O(shards) edges cross), the ring is cut into
 contiguous arcs (exactly ``shards`` cross edges).  In-shard traffic
-rides the same :class:`~repro.net.transport.MemTransport`-style queues
-as the single-loop runtime; cross-shard traffic rides one
+rides :class:`~repro.net.transport.MemTransport` queues, as in the
+single-loop runtime; cross-shard traffic rides one
 :class:`ShardLink` per shard pair -- a Unix-domain (or TCP) socket
 carrying length-prefixed *routing records* (``(src, dst)`` header +
 frame body, :func:`~repro.net.frames.pack_record`).  Links batch: a
@@ -32,7 +32,13 @@ record appends to a per-link buffer that flushes on a size boundary
 (``config.batch_bytes``) or at the end of the current event-loop turn,
 so a wave of hundreds of messages leaves in a handful of syscalls.
 
-Every existing guarantee survives sharding:
+This module owns *where* nodes run -- partitioning, the cross-shard
+fabric, and process hosting (spawn, address handshake, result pipes).
+What a run *is* stays in :mod:`repro.net.runtime`: each worker runs its
+share of the nodes through the runtime's ``_run_group`` and the
+coordinator folds the shipped reports with its ``_assemble``, exactly
+as the single-loop path does for its one group.  So every existing
+guarantee survives sharding:
 
 * **Replay determinism** -- :class:`~repro.net.faults.FaultyTransport`
   decisions are pure hashes of ``(seed, channel, message identity,
@@ -42,12 +48,11 @@ Every existing guarantee survives sharding:
   produce identical trace digests (gated by test and CI).
 * **Telemetry** -- each worker runs a
   :class:`~repro.obs.recorder.FlightRecorder` per node with
-  ``protocol_log=True``, ships the O(rounds) protocol events and
-  digest rows back over the result pipe, and the coordinator
-  Lamport-merges them into the PR-1 event schema and runs the PR-4
-  guarantee monitors post-hoc -- same verdicts, same digest algebra
-  (event times are Lamport stamps, so cross-process merge order is
-  exact, not wall-clock-approximate).
+  ``protocol_log=True`` and ships the O(rounds) protocol events back
+  over the result pipe; merge, digest and the PR-4 guarantee monitors
+  then run on them as on any other streams (event times are Lamport
+  stamps, so cross-process merge order is exact, not
+  wall-clock-approximate).
 * **Config surface** -- ``NetConfig(shards=..., shard_transport=...)``
   and :func:`~repro.net.runtime.run_sync` dispatches here
   transparently.
@@ -62,17 +67,15 @@ import tempfile
 import time as _time
 import traceback
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping
 
 from repro.net.frames import FrameDecoder, append_frame, pack_record, unpack_record
 from repro.net.transport import (
-    Transport,
+    MemTransport,
     TransportClosed,
     have_af_unix,
     open_address,
 )
-from repro.obs.events import FAULT, PHASE_END, ObsEvent
 
 #: Seconds the coordinator grants workers on top of ``timeout_s`` for
 #: interpreter start-up, imports and result shipping.
@@ -243,6 +246,9 @@ class ShardFabric:
     ) -> None:
         self.shard_id = shard_id
         self.partition = partition
+        #: With :attr:`queues`, the hub interface of
+        #: :class:`~repro.net.transport.MemTransport`.
+        self.nprocs = len(partition)
         self.batch_bytes = batch_bytes
         self.unix_path = unix_path
         self.local_pids = [
@@ -337,50 +343,21 @@ class ShardFabric:
         return totals
 
 
-class ShardTransport(Transport):
-    """One node's port on a :class:`ShardFabric`: local sends are queue
-    puts (exactly :class:`~repro.net.transport.MemTransport` semantics),
-    remote sends become routing records on the peer shard's link."""
-
-    def __init__(self, node_id: int, fabric: ShardFabric) -> None:
-        super().__init__(node_id, len(fabric.partition))
-        self.fabric = fabric
-        self._closed = False
+class ShardTransport(MemTransport):
+    """One node's port on a :class:`ShardFabric`: receive, drain, close
+    and in-shard sends are :class:`~repro.net.transport.MemTransport`'s
+    own (the fabric is its hub); a send to another shard becomes a
+    routing record on that shard's link."""
 
     async def send(self, dst: int, body: bytes) -> None:
+        fabric = self._hub
+        if not 0 <= dst < self.nprocs or fabric.partition[dst] == fabric.shard_id:
+            return await super().send(dst, body)
         if self._closed:
             raise TransportClosed(f"node {self.node_id}: transport closed")
-        if not 0 <= dst < self.nprocs:
-            raise ValueError(f"destination {dst} out of range")
-        shard = self.fabric.partition[dst]
-        if shard == self.fabric.shard_id:
-            self.fabric.queues[dst].put_nowait((self.node_id, body))
-        else:
-            link = self.fabric.links.get(shard)
-            if link is not None:
-                await link.send_record(pack_record(self.node_id, dst, body))
-
-    async def recv(self, timeout: float | None = None) -> tuple[int, bytes] | None:
-        if self._closed:
-            raise TransportClosed(f"node {self.node_id}: transport closed")
-        queue = self.fabric.queues[self.node_id]
-        if timeout is None:
-            return await queue.get()
-        try:
-            return await asyncio.wait_for(queue.get(), timeout)
-        except asyncio.TimeoutError:
-            return None
-
-    def drain(self) -> int:
-        queue = self.fabric.queues[self.node_id]
-        dropped = 0
-        while not queue.empty():
-            queue.get_nowait()
-            dropped += 1
-        return dropped
-
-    async def close(self) -> None:
-        self._closed = True  # the fabric outlives individual node ports
+        link = fabric.links.get(fabric.partition[dst])
+        if link is not None:
+            await link.send_record(pack_record(self.node_id, dst, body))
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +368,6 @@ class ShardSpec:
     """Everything one worker needs, picklable for ``spawn``."""
 
     shard_id: int
-    shards: int
     partition: tuple[int, ...]
     config: Any  # NetConfig (picklable once tracer_factory is None)
     unix_path: str | None
@@ -412,10 +388,7 @@ def _worker_main(spec: ShardSpec, conn: Any) -> None:
 
 
 async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
-    from repro.net.faults import FaultyTransport
-    from repro.net.runtime import _node_builder
-    from repro.obs.recorder import FlightRecorder
-    from repro.obs.tracer import NullTracer
+    from repro.net.runtime import _run_group
 
     config = spec.config
     fabric = ShardFabric(
@@ -430,101 +403,39 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
         raise RuntimeError(f"unexpected coordinator message {op!r}")
     fabric.connect(addresses)
 
-    plan = config.plan
-    faulty = bool(
-        plan is not None
-        and ((plan.link is not None and plan.link.any) or plan.partitions)
-    )
-    ports = fabric.transports()
-    transports: dict[int, Any] = dict(ports)
-    if faulty:
-        # Epoch-relative wall clock: one timeline for partition windows
-        # across every worker (sub-ms skew; windows are seconds-wide).
-        clock = lambda: _time.time() - epoch  # noqa: E731
-        transports = {
-            pid: FaultyTransport(t, plan, clock=clock, max_delay=config.max_delay)
-            for pid, t in ports.items()
-        }
-
     tracers: dict[int, Any]
-    if not config.tracing:
-        tracers = {pid: NullTracer() for pid in fabric.local_pids}
-    else:
+    if config.tracing:
+        from repro.obs.recorder import FlightRecorder
+
         capacity = config.ring_capacity if config.live_mode else 65536
         tracers = {
             pid: FlightRecorder(capacity=capacity, pid=pid, protocol_log=True)
             for pid in fabric.local_pids
         }
+    else:
+        from repro.obs.tracer import NullTracer
 
-    build_node = _node_builder(config)
-    nodes: dict[int, Any] = {}
-    mains = []
-    for pid in fabric.local_pids:
-        nodes[pid], main = build_node(pid, transports[pid], tracers[pid])
-        mains.append(main)
+        tracers = {pid: NullTracer() for pid in fabric.local_pids}
 
-    wall_start = _time.perf_counter()
-    gathered = asyncio.gather(*mains)
-    timed_out = False
     try:
-        await asyncio.wait_for(gathered, config.timeout_s)
-    except asyncio.TimeoutError:
-        timed_out = True
-        gathered.cancel()
-        try:
-            await gathered
-        except (asyncio.CancelledError, Exception):
-            pass
+        # Epoch-relative wall clock: one timeline for partition windows
+        # across every worker (sub-ms skew; windows are seconds-wide).
+        report = await _run_group(
+            config, fabric.transports(), lambda: _time.time() - epoch, tracers
+        )
     finally:
-        for node in nodes.values():
-            await node.stop()
-        for transport in transports.values():
-            await transport.close()
         await fabric.close()
-    wall_s = _time.perf_counter() - wall_start
+    report["link_stats"] = {**fabric.link_stats(), **report["link_stats"]}
 
-    link_stats = fabric.link_stats()
-    if faulty:
-        for transport in transports.values():
-            for key, value in transport.stats.items():
-                link_stats[key] = link_stats.get(key, 0) + value
-
-    trace_paths: list[str] = []
-    rows: dict[int, list] = {pid: [] for pid in fabric.local_pids}
-    events: dict[int, list[ObsEvent]] = {pid: [] for pid in fabric.local_pids}
-    rings: dict[int, dict[str, int]] = {}
+    # The O(rounds) protocol log is all the coordinator needs to merge,
+    # digest and monitor; the message-level rings stay here.
+    events: dict[int, list] = {}
+    rings: dict[str, dict[str, int]] = {}
     if config.tracing:
         for pid, tracer in tracers.items():
-            rows[pid] = tracer.rows
-            events[pid] = list(tracer.protocol_events)
-            rings[pid] = {"appended": tracer.appended, "dropped": tracer.dropped}
-        if config.trace_dir is not None:
-            out = Path(config.trace_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            for pid, tracer in tracers.items():
-                path = out / f"flight-{pid}.snapshot.jsonl"
-                tracer.dump_snapshot(path)
-                trace_paths.append(str(path))
-
-    return {
-        "shard_id": spec.shard_id,
-        "timed_out": timed_out,
-        "failsafe_stop": any(
-            getattr(node, "failsafe", False) or getattr(node, "dead", False)
-            for node in nodes.values()
-        ),
-        "rounds": {
-            pid: (node.round if config.protocol == "tree" else node.completed)
-            for pid, node in nodes.items()
-        },
-        "rows": rows,
-        "events": events,
-        "rings": rings,
-        "node_stats": {pid: dict(node.stats) for pid, node in nodes.items()},
-        "link_stats": link_stats,
-        "wall_s": wall_s,
-        "trace_paths": trace_paths,
-    }
+            events[pid] = tracer.protocol_events
+            rings[str(pid)] = {"appended": tracer.appended, "dropped": tracer.dropped}
+    return {"report": report, "events": events, "rings": rings}
 
 
 # ----------------------------------------------------------------------
@@ -535,16 +446,11 @@ def run_sharded(config: Any) -> Any:
 
     Blocking, like :func:`~repro.net.runtime.run_sync` (which dispatches
     here when ``shards > 1``).  The coordinator spawns workers, brokers
-    the link-address handshake, then collects per-shard results and
-    rebuilds a :class:`~repro.net.runtime.NetResult`: digest from the
-    shipped projection rows, monitors over the Lamport-merged protocol
-    events, stats summed.
+    the link-address handshake, collects each shard's group report and
+    protocol events, and hands them to the runtime's ``_assemble`` --
+    the same fold that finishes a single-loop run.
     """
-    from repro.chaos.plan import FaultPlan
-    from repro.net.runtime import NetResult, _metrics_summary
-    from repro.net.trace import check_merged, merge_traces
-    from repro.obs.recorder import digest_of_rows
-    from repro.obs.tracer import Tracer
+    from repro.net.runtime import _assemble
 
     shards = min(config.shards, config.nodes)
     partition = partition_nodes(config.nodes, shards, config.protocol, config.arity)
@@ -564,7 +470,6 @@ def run_sharded(config: Any) -> Any:
                 parent_conn, child_conn = ctx.Pipe()
                 spec = ShardSpec(
                     shard_id=shard_id,
-                    shards=shards,
                     partition=tuple(partition),
                     config=config,
                     unix_path=os.path.join(sockdir, f"shard-{shard_id}.sock")
@@ -620,95 +525,25 @@ def run_sharded(config: Any) -> Any:
                     proc.join(timeout=5.0)
     wall_total = _time.perf_counter() - wall_start
 
-    # -- merge ---------------------------------------------------------
-    rounds: dict[int, int] = {}
-    rows_by_pid: dict[int, list] = {}
-    events_by_pid: dict[int, list[ObsEvent]] = {}
-    node_stats: dict[int, dict[str, int]] = {}
-    link_stats: dict[str, int] = {}
+    events: dict[int, list] = {}
     rings: dict[str, dict[str, int]] = {}
-    shard_walls: list[float] = []
-    trace_paths: list[str] = []
-    timed_out = False
-    failsafe_stop = False
     for payload in payloads:
-        timed_out = timed_out or payload["timed_out"]
-        failsafe_stop = failsafe_stop or payload.get("failsafe_stop", False)
-        rounds.update(payload["rounds"])
-        rows_by_pid.update(payload["rows"])
-        events_by_pid.update(payload["events"])
-        node_stats.update(payload["node_stats"])
-        for pid, stats in payload["rings"].items():
-            rings[str(pid)] = stats
-        for key, value in payload["link_stats"].items():
-            link_stats[key] = link_stats.get(key, 0) + value
-        shard_walls.append(payload["wall_s"])
-        trace_paths.extend(payload["trace_paths"])
-
-    if config.protocol == "tree":
-        completed = min(rounds.values())
-        reached = all(r >= config.barriers for r in rounds.values())
-    else:
-        completed = rounds.get(0, 0)
-        reached = completed >= config.barriers
-    reached = reached and not timed_out
-
-    merged = merge_traces(events_by_pid)
-    digest = digest_of_rows(rows_by_pid)
-    nphases = None if config.protocol == "tree" else config.nphases
-    check_plan = (
-        config.plan if config.plan is not None else FaultPlan(nprocs=config.nodes)
-    )
-    violations, spans = check_merged(merged, check_plan, nphases, reached)
-    successful = sum(
-        1
-        for e in events_by_pid.get(0, [])
-        if e.kind == PHASE_END and e.data.get("success")
-    )
-    faults_fired = sum(
-        1 for events in events_by_pid.values() for e in events if e.kind == FAULT
-    )
-
-    if config.trace_dir is not None and config.tracing:
-        out = Path(config.trace_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        merged_path = out / "merged.jsonl"
-        Tracer.from_events(merged).dump_jsonl(merged_path)
-        trace_paths.append(str(merged_path))
-
-    metrics_summary = _metrics_summary(
-        check_plan, nphases, digest, violations, spans, None
-    )
-    metrics_summary["shards"] = {
+        events.update(payload["events"])
+        rings.update(payload["rings"])
+    reports = [payload["report"] for payload in payloads]
+    result = _assemble(config, reports, events)
+    # ``result.wall_s`` is the slowest shard's run phase; what spawning,
+    # importing and shipping cost on top is visible here.
+    result.metrics_summary["shards"] = {
         "count": shards,
         "transport": "unix" if use_unix else "tcp",
         "partition_cross_edges": cross_edges(partition, config.protocol, config.arity),
-        "shard_walls": shard_walls,
+        "shard_walls": [report["wall_s"] for report in reports],
         "coordinator_wall_s": wall_total,
     }
     if rings:
-        metrics_summary["rings"] = rings
-
-    return NetResult(
-        config=config,
-        reached=reached,
-        completed=completed,
-        successful_phases=successful,
-        faults_fired=faults_fired,
-        digest=digest,
-        end_time=merged[-1].time if merged else 0.0,
-        # Protocol wall: the slowest shard's run phase; spawn/import
-        # overhead is excluded (reported separately in metrics).
-        wall_s=max(shard_walls) if shard_walls else wall_total,
-        failsafe_stop=failsafe_stop,
-        violations=list(violations),
-        spans=list(spans),
-        node_stats=node_stats,
-        link_stats=link_stats,
-        merged_events=merged,
-        trace_paths=trace_paths,
-        metrics_summary=metrics_summary,
-    )
+        result.metrics_summary["rings"] = rings
+    return result
 
 
 def _pipe_recv(conn: Any, deadline: float, what: str) -> Any:

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.chaos.adapters import monitors_for
-from repro.chaos.monitors import MonitorSet
+from repro.chaos.monitors import MonitorSet, monitors_for
 from repro.chaos.plan import FaultPlan
 from repro.obs.events import (
     DETECT,
@@ -37,12 +36,10 @@ from repro.obs.recorder import (
     digest_of_rows,
     projection_row,
 )
-from repro.obs.tracer import Tracer
 
 __all__ = [
     "PROTOCOL_KINDS",
     "merge_traces",
-    "digest_projection",
     "trace_digest",
     "monitor_stream",
     "check_merged",
@@ -64,21 +61,6 @@ def merge_traces(
             keyed.append((event.time, -1 if event.pid is None else event.pid, idx, event))
     keyed.sort(key=lambda item: item[:3])
     return [item[3] for item in keyed]
-
-
-def digest_projection(
-    streams: Mapping[int, Sequence[ObsEvent]]
-) -> list[list]:
-    """The deterministic view :func:`trace_digest` hashes.  Row shape is
-    owned by :func:`repro.obs.recorder.projection_row`, which flight
-    recorders also accumulate incrementally -- the two paths must hash
-    identically (gated by test)."""
-    proj: list[list] = []
-    for pid in sorted(streams):
-        for event in streams[pid]:
-            if event.kind in PROTOCOL_KINDS:
-                proj.append(projection_row(event, pid))
-    return proj
 
 
 def trace_digest(streams: Mapping[int, Sequence[ObsEvent]]) -> str:
@@ -118,19 +100,14 @@ def check_merged(
     Returns ``(violations, spans)`` -- the stabilization spans are the
     Figure 7 quantity measured over Lamport time.
     """
-    events = monitor_stream(merged)
-    tracer = Tracer()
     # Strict fail-safe checking (success-after-fault) only where Lamport
     # causality is exact: the tree's round-quantized faults.  MB's
     # concurrent completions make lamport comparison unreliable there.
     monitor_set = MonitorSet(
-        tracer, monitors_for(plan, nphases, strict=nphases is None)
+        None, monitors_for(plan, nphases, strict=nphases is None)
     )
+    events = monitor_stream(merged)
     for event in events:
-        tracer.emit(event.kind, event.time, event.pid, **event.data)
-    end_time = events[-1].time if events else 0.0
-    monitor_set.finish(reached, end_time)
-    spans: list[float] = []
-    for m in monitor_set.monitors:
-        spans.extend(getattr(m, "spans", ()))
-    return monitor_set.violations, spans
+        monitor_set.feed(event)
+    monitor_set.finish(reached, events[-1].time if events else 0.0)
+    return monitor_set.violations, monitor_set.spans

@@ -158,8 +158,7 @@ class LivePlane:
         span_sink: Callable[..., None] | None = None,
         violation_sink: Callable[..., None] | None = None,
     ) -> None:
-        from repro.chaos.adapters import monitors_for
-        from repro.chaos.monitors import MonitorSet
+        from repro.chaos.monitors import MonitorSet, monitors_for
         from repro.chaos.plan import FaultPlan
 
         check_plan = plan if plan is not None else FaultPlan(nprocs=nodes)
@@ -261,10 +260,7 @@ class LivePlane:
 
     @property
     def spans(self) -> list[float]:
-        out: list[float] = []
-        for monitor in self.monitor_set.monitors:
-            out.extend(getattr(monitor, "spans", ()))
-        return out
+        return self.monitor_set.spans
 
     def digest(self) -> str:
         return digest_of_rows({p: r.rows for p, r in self.recorders.items()})
@@ -348,8 +344,7 @@ def run_monitors_streaming(
     :func:`repro.net.trace.check_merged` computes post-hoc.  Streams are
     pushed round-robin to exercise out-of-order buffering.
     """
-    from repro.chaos.adapters import monitors_for
-    from repro.chaos.monitors import MonitorSet
+    from repro.chaos.monitors import MonitorSet, monitors_for
 
     monitor_set = MonitorSet(
         None, monitors_for(plan, nphases, strict=nphases is None)
@@ -371,7 +366,4 @@ def run_monitors_streaming(
                 merger.push(pid, stream[i])
     merger.close()
     monitor_set.finish(reached, last_time)
-    spans: list[float] = []
-    for monitor in monitor_set.monitors:
-        spans.extend(getattr(monitor, "spans", ()))
-    return monitor_set.violations, spans
+    return monitor_set.violations, monitor_set.spans

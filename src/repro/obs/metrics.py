@@ -38,6 +38,7 @@ from repro.obs.events import (
     TOKEN_PASS,
     ObsEvent,
 )
+from repro.obs.summary import PendingFaults
 
 LabelValues = tuple[str, ...]
 
@@ -714,10 +715,9 @@ class MetricsObserver:
             "messages sent per successful phase (finalized)",
         )
 
-        # Attribution state (mirrors summarize()'s PendingFaults, but
-        # remembers the fault class for the latency label).
-        self._pending: dict[int | None, list[tuple[int, float, str]]] = {}
-        self._pending_seq = 0
+        # Attribution state: each pending fault is tagged with its class,
+        # which labels the latency of the recovery that closes it.
+        self._pending = PendingFaults()
         self._open_phase_start: dict[int, float] = {}
         self._last_token_release: dict[int, float] = {}
         self._instances = 0
@@ -773,10 +773,7 @@ class MetricsObserver:
             if self.per_pid:
                 labels["pid"] = event.pid if event.pid is not None else "sys"
             self.faults_total.inc(**labels)
-            self._pending.setdefault(event.pid, []).append(
-                (self._pending_seq, event.time, klass)
-            )
-            self._pending_seq += 1
+            self._pending.add(event.pid, event.time, klass)
         elif kind == DETECT:
             self.detections_total.inc()
         elif kind == RECOVERY:
@@ -804,30 +801,15 @@ class MetricsObserver:
                 self.message_latency.observe(float(latency))
 
     def _resolve_recovery(self, event: ObsEvent) -> tuple[float | None, str]:
+        resolved = self._pending.resolve(event.pid, event.time)
+        latency, klass = resolved if resolved is not None else (None, "unattributed")
         explicit = event.data.get("latency")
-        pid = event.pid
-        queue = self._pending.get(pid)
-        if pid is not None and queue:
-            _, fault_time, klass = queue.pop(0)
-            if not queue:
-                del self._pending[pid]
-            if explicit is not None:
-                self._pending.clear()
-                return float(explicit), klass
-            return event.time - fault_time, klass
-        earliest = min(
-            (q[0] for q in self._pending.values() if q), default=None
-        )
-        self._pending.clear()
-        if earliest is None:
-            return (
-                (float(explicit), "unattributed") if explicit is not None
-                else (None, "unattributed")
-            )
-        _, fault_time, klass = earliest
         if explicit is not None:
-            return float(explicit), klass
-        return event.time - fault_time, klass
+            # An explicit latency is authoritative and closes the whole
+            # episode; the resolved fault still names the class.
+            self._pending.clear()
+            latency = float(explicit)
+        return latency, klass
 
     # -- finalization ----------------------------------------------------
     def finalize(self) -> MetricsRegistry:

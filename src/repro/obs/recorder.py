@@ -53,7 +53,7 @@ def projection_row(event: ObsEvent, stream_pid: int) -> list:
     of a protocol event as seen from the stream of node ``stream_pid``.
 
     Must stay bit-compatible with what
-    :func:`repro.net.trace.digest_projection` builds from a full trace.
+    :func:`repro.net.trace.trace_digest` hashes from a full trace.
     """
     return [
         event.kind,

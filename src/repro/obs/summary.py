@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf, nan
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.obs.events import (
     DETECT,
@@ -119,32 +119,35 @@ class PendingFaults:
 
     def __init__(self) -> None:
         self._seq = 0
-        #: pid -> [(arrival seq, fault time)], FIFO per pid
-        self._by_pid: dict[int | None, list[tuple[int, float]]] = {}
+        #: pid -> [(arrival seq, fault time, tag)], FIFO per pid
+        self._by_pid: dict[int | None, list[tuple[int, float, Any]]] = {}
 
-    def add(self, pid: int | None, time: float) -> None:
-        self._by_pid.setdefault(pid, []).append((self._seq, time))
+    def add(self, pid: int | None, time: float, tag: Any = None) -> None:
+        """Record a fault; ``tag`` is opaque and comes back from
+        :meth:`resolve` with the recovery that closes it."""
+        self._by_pid.setdefault(pid, []).append((self._seq, time, tag))
         self._seq += 1
 
     def __bool__(self) -> bool:
         return any(self._by_pid.values())
 
-    def resolve(self, pid: int | None, time: float) -> float | None:
-        """Latency for a recovery at ``pid``/``time`` (None if nothing
-        was pending); applies the clearing rules above."""
+    def resolve(self, pid: int | None, time: float) -> tuple[float, Any] | None:
+        """``(latency, tag)`` of the fault a recovery at ``pid``/``time``
+        closes (None if nothing was pending); applies the clearing rules
+        above."""
         queue = self._by_pid.get(pid)
         if pid is not None and queue:
-            _, fault_time = queue.pop(0)
+            _, fault_time, tag = queue.pop(0)
             if not queue:
                 del self._by_pid[pid]
-            return time - fault_time
+            return time - fault_time, tag
         earliest = min(
             (q[0] for q in self._by_pid.values() if q), default=None
         )
         self._by_pid.clear()
         if earliest is None:
             return None
-        return time - earliest[1]
+        return time - earliest[1], earliest[2]
 
     def clear(self) -> None:
         self._by_pid.clear()
@@ -187,7 +190,8 @@ def summarize(
                 # the engine's return-to-start-state, closing the episode.
                 pending.clear()
             else:
-                latency = pending.resolve(event.pid, event.time)
+                resolved = pending.resolve(event.pid, event.time)
+                latency = resolved[0] if resolved is not None else None
             if latency is not None:
                 summary.recovery_latencies.append(float(latency))
         elif kind == TOKEN_PASS:

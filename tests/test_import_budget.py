@@ -118,6 +118,12 @@ def test_entry_point_stays_inside_its_cone(name):
     assert not sorted(m for m in gained if _is_budgeted(m))
 
 
+def test_net_job_leaves_the_chaos_adapter_registry_unloaded():
+    # A run needs the monitors and the plan, not the 22 engine adapters.
+    imports, _ceiling, job = ENTRY_POINTS["repro.net"]
+    assert not _loaded(_probe(imports, job)["after_job"], "repro.chaos.adapters")
+
+
 def test_positive_control_gc_engine_does_load_numpy():
     # The probe can see numpy: the gc daemons always draw from it.
     seen = _probe("from repro.gc import Simulator")

@@ -3,7 +3,10 @@ digests, chaos-target integration, and the ``net run`` CLI."""
 
 from __future__ import annotations
 
+import ast
+import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,72 @@ ACCEPTANCE_PLAN = FaultPlan(
     link=LinkPlan(loss=0.15, duplication=0.1, reorder=0.1),
     partitions=(PartitionWindow(start=0.4, stop=0.9, groups=((0, 1, 2), (3, 4))),),
 )
+
+
+NET_SRC = Path(__file__).resolve().parent.parent / "src" / "repro" / "net"
+
+
+def _dotted(node: ast.AST) -> str:
+    """``a.b.c`` for a Name/Attribute chain, else ``""``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def test_one_run_pipeline():
+    """The fork-regrowth gate: under ``src/repro/net`` nodes are built,
+    gathered under the deadline and wrapped for link faults in exactly
+    one place, a ``NetResult`` is constructed in exactly one place, and
+    ``shard.py`` holds none of the post-run machinery -- single-loop and
+    sharded runs cannot drift apart in code that exists once."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(NET_SRC.glob("*.py"))}
+    calls: dict[str, list[str]] = {}
+    for name, tree in trees.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # Names bound to the node builder in this function.
+            builders = {
+                n.targets[0].id
+                for n in ast.walk(func)
+                if isinstance(n, ast.Assign)
+                and isinstance(n.value, ast.Call)
+                and _dotted(n.value.func) == "_node_builder"
+                and isinstance(n.targets[0], ast.Name)
+            }
+            for n in ast.walk(func):
+                if not isinstance(n, ast.Call):
+                    continue
+                callee = _dotted(n.func)
+                if callee in builders:
+                    callee = "<node builder>"
+                elif callee == "asyncio.gather" and any(
+                    k.arg == "return_exceptions" for k in n.keywords
+                ):
+                    continue  # teardown of reader tasks, not a run of node mains
+                calls.setdefault(callee, []).append(f"{name}:{func.name}")
+    for callee in ("NetResult", "asyncio.gather", "<node builder>", "FaultyTransport"):
+        assert len(calls.get(callee, [])) == 1, (callee, calls.get(callee))
+    assert calls["NetResult"] == ["runtime.py:_assemble"]
+    assert calls["asyncio.gather"] == calls["<node builder>"] == ["runtime.py:_run_group"]
+
+    shard = trees["shard.py"]
+    imported = {
+        alias.name
+        for n in ast.walk(shard)
+        if isinstance(n, ast.ImportFrom)
+        for alias in n.names
+    }
+    assert not imported & {
+        "merge_traces", "check_merged", "digest_of_rows", "FaultPlan", "Tracer",
+        "FAULT", "PHASE_END",
+    }
+    (port,) = [
+        n for n in shard.body if isinstance(n, ast.ClassDef) and n.name == "ShardTransport"
+    ]
+    assert [n.name for n in port.body if not isinstance(n, ast.Expr)] == ["send"]
 
 
 def test_clean_tree_run_mem():
@@ -45,6 +114,10 @@ def frame_totals(result) -> dict[str, int]:
 def test_clean_tree_round_costs_exactly_three_frames_per_edge(nodes, barriers):
     """A fault-free round is one arrive, one release and one rack per
     tree edge, and a sender retires with its round: no resend, ever."""
+    # Collect now so no full collection lands inside the run: a gen-2
+    # pass over the whole suite's heap (~100 ms) outlasts the 40 ms
+    # resend timer and shows up as honest resends.
+    gc.collect()
     result = run_sync(
         NetConfig(
             nodes=nodes,

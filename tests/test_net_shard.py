@@ -18,6 +18,7 @@ The load-bearing claims, in test form:
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -38,6 +39,7 @@ from repro.net import (
     run_sync,
     unpack_record,
 )
+from tests.test_adversarial_net import ADVERSARIAL_PLAN
 
 SHARD_PLAN = FaultPlan(
     nprocs=16,
@@ -194,10 +196,59 @@ def test_sharded_matches_single_loop_digest_and_replays():
     assert shard_a.link_stats["xshard_flushes"] <= shard_a.link_stats["xshard_records"]
 
 
+def _adversarial_config(**overrides):
+    return NetConfig(
+        nodes=5, barriers=8, seed=7, plan=ADVERSARIAL_PLAN, timeout_s=30.0, **overrides
+    )
+
+
+@pytest.mark.parametrize("config", [_config, _adversarial_config])
+def test_sharded_result_equals_single_loop_on_every_deterministic_field(config):
+    """One pipeline, so everything in a ``NetResult`` that is a function
+    of ``(plan, config)`` agrees across the process cut -- not only the
+    digest.  Timing-dependent fields (link stats, resend counts, span
+    values, Lamport end time) legitimately differ between interleavings
+    and are left alone."""
+    single = run_sync(config())
+    sharded = run_sync(config(shards=2))
+
+    def deterministic(result):
+        return {
+            "digest": result.digest,
+            "reached": result.reached,
+            "completed": result.completed,
+            "successful_phases": result.successful_phases,
+            "faults_fired": result.faults_fired,
+            "failsafe_stop": result.failsafe_stop,
+            "violations": [v.guarantee for v in result.violations],
+            "spans": len(result.spans),
+            "verdicts": result.metrics_summary["verdicts"],
+        }
+
+    assert deterministic(single) == deterministic(sharded)
+    assert single.ok and single.faults_fired > 0
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_merged_trace_is_written_whenever_trace_dir_is_set(tmp_path, shards):
+    """``tracing=False`` leaves the per-node files out, never the merged
+    one -- on either path (the sharded coordinator used to skip it)."""
+    result = run_sync(
+        NetConfig(
+            nodes=4, barriers=2, shards=shards, timeout_s=45.0,
+            tracing=False, trace_dir=str(tmp_path),
+        )
+    )
+    assert result.reached
+    assert [p.name for p in tmp_path.iterdir()] == ["merged.jsonl"]
+    assert result.trace_paths == [str(tmp_path / "merged.jsonl")]
+
+
 def test_clean_sharded_frame_budget_equals_single_loop():
     """Cutting the tree across processes adds no frame: 16 nodes in 2
     shards send the single-loop run's 3 per edge per round, resend
     nothing, and narrate the same digest."""
+    gc.collect()  # keep a gen-2 pause (> the resend timer) out of the run
     single = run_sync(_config(plan=None))
     sharded = run_sync(_config(plan=None, shards=2))
     for result in (single, sharded):

@@ -297,9 +297,9 @@ class FaultPlan:
         """
         if min(detectable, undetectable, byzantine, permanent) < 0:
             raise ValueError("fault counts must be >= 0")
-        import numpy as np
+        from repro._pcg64 import default_rng
 
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         events = []
         for is_detectable, n in ((True, detectable), (False, undetectable)):
             for _ in range(n):

@@ -77,8 +77,9 @@ class _CountingRng:
     any entry whose evaluation touched the RNG is never memoized (a
     cached result would skip the draw and shift the stream).  Attribute
     access other than ``integers`` is counted conservatively -- the
-    engine's views only ever call ``integers``, so anything else is
-    user code doing who-knows-what with the generator.
+    engine's views only ever call ``integers`` (of the three draws
+    :class:`repro._pcg64.Rng` names), so anything else is user code
+    doing who-knows-what with the generator.
     """
 
     __slots__ = ("rng", "draws")

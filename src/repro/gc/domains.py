@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
+from repro._pcg64 import Rng
+
 
 class _Special:
     """Singleton marker values (the paper's special sequence numbers)."""
@@ -84,7 +86,7 @@ class Domain(Protocol):
         """Enumerate the domain (finite, stable order)."""
         ...
 
-    def sample(self, rng: Any) -> Any:
+    def sample(self, rng: Rng) -> Any:
         """Draw a uniformly random element (undetectable-fault ``?``)."""
         ...
 
@@ -111,7 +113,7 @@ class IntRange:
     def values(self) -> Sequence[int]:
         return range(self.lo, self.hi + 1)
 
-    def sample(self, rng: Any) -> int:
+    def sample(self, rng: Rng) -> int:
         return int(rng.integers(self.lo, self.hi + 1))
 
     @property
@@ -148,7 +150,7 @@ class EnumDomain:
     def values(self) -> Sequence[Any]:
         return self.members
 
-    def sample(self, rng: Any) -> Any:
+    def sample(self, rng: Rng) -> Any:
         return self.members[int(rng.integers(0, len(self.members)))]
 
 
@@ -182,7 +184,7 @@ class SequenceNumberDomain:
             base.extend((BOT, TOP))
         return base
 
-    def sample(self, rng: Any) -> Any:
+    def sample(self, rng: Rng) -> Any:
         vals = self.values()
         return vals[int(rng.integers(0, len(vals)))]
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from math import log
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
+from repro._pcg64 import Rng, make_rng
 from repro.gc.program import Program
 from repro.gc.state import State
 from repro.gc.trace import TraceEvent
@@ -44,7 +43,7 @@ class FaultSpec:
     detectable: bool = True
 
     def apply(
-        self, program: Program, state: State, pid: int, rng: np.random.Generator
+        self, program: Program, state: State, pid: int, rng: Rng
     ) -> list[tuple[str, Any]]:
         """Perturb ``state`` at ``pid``; return the writes performed."""
         domains = program.domains
@@ -69,9 +68,14 @@ class FaultSpec:
 
 
 class Schedule(Protocol):
-    """Decides whether a fault fires at a given (step, time)."""
+    """Decides whether a fault fires at a given (step, time).
 
-    def fires(self, step: int, time: float, rng: np.random.Generator) -> bool: ...
+    A schedule that draws a distribution the core generator does not
+    reproduce sets ``needs_numpy_rng = True``; :class:`FaultInjector`
+    then seeds numpy's generator for it.
+    """
+
+    def fires(self, step: int, time: float, rng: Rng) -> bool: ...
 
 
 @dataclass
@@ -81,7 +85,7 @@ class OneShotSchedule:
     at_step: int
     _done: bool = field(default=False, init=False)
 
-    def fires(self, step: int, time: float, rng: np.random.Generator) -> bool:
+    def fires(self, step: int, time: float, rng: Rng) -> bool:
         if not self._done and step >= self.at_step:
             self._done = True
             return True
@@ -98,7 +102,7 @@ class BernoulliSchedule:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability out of range: {self.p}")
 
-    def fires(self, step: int, time: float, rng: np.random.Generator) -> bool:
+    def fires(self, step: int, time: float, rng: Rng) -> bool:
         return self.p > 0 and rng.random() < self.p
 
 
@@ -115,6 +119,10 @@ class ExponentialSchedule:
     frequency: float
     _next: float = field(default=-1.0, init=False)
 
+    #: ``exponential`` is numpy's ziggurat sampler, which the core
+    #: generator does not reproduce.
+    needs_numpy_rng = True
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.frequency < 1.0:
             raise ValueError(
@@ -125,7 +133,7 @@ class ExponentialSchedule:
     def rate(self) -> float:
         return 0.0 if self.frequency == 0.0 else -log(1.0 - self.frequency)
 
-    def fires(self, step: int, time: float, rng: np.random.Generator) -> bool:
+    def fires(self, step: int, time: float, rng: Any) -> bool:
         if self.frequency == 0.0:
             return False
         if self._next < 0.0:
@@ -145,7 +153,7 @@ class FaultInjector:
         spec: FaultSpec,
         schedule: Schedule,
         targets: Sequence[int] | None = None,
-        seed: Any = None,
+        seed: int | Rng | None = None,
         max_faults: int | None = None,
     ) -> None:
         self.program = program
@@ -156,9 +164,14 @@ class FaultInjector:
         )
         if not self.targets:
             raise ValueError("fault injector needs at least one target")
-        self.rng = (
-            seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        )
+        self.rng = make_rng(seed)
+        if self.rng is not seed and getattr(schedule, "needs_numpy_rng", False):
+            # Built from a seed, for a schedule that draws more than the
+            # core generator offers: numpy's generator of that seed is the
+            # same PCG64 stream, with ``exponential``.
+            from numpy.random import default_rng as numpy_default_rng
+
+            self.rng = numpy_default_rng(seed)
         self.max_faults = max_faults
         self.count = 0
 
@@ -201,7 +214,7 @@ class ScriptedInjector:
         program: Program,
         spec: FaultSpec,
         schedule: Sequence[tuple[int, int]],
-        seed: Any = None,
+        seed: int | Rng | None = None,
     ) -> None:
         self.program = program
         self.spec = spec
@@ -211,11 +224,7 @@ class ScriptedInjector:
                 raise ValueError(f"scheduled fault at bad pid {pid}")
             if step < 0:
                 raise ValueError(f"scheduled fault at negative step {step}")
-        self.rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
+        self.rng = make_rng(seed)
         self.count = 0
         self._next = 0
 
@@ -259,7 +268,7 @@ class PlanInjector:
         self,
         program: Program,
         schedule: Sequence[tuple[int, int, FaultSpec]],
-        seed: Any = None,
+        seed: int | Rng | None = None,
     ) -> None:
         self.program = program
         self.schedule = sorted(schedule, key=lambda e: (e[0], e[1]))
@@ -270,11 +279,7 @@ class PlanInjector:
                 raise ValueError(f"scheduled fault at negative step {step}")
             if not isinstance(spec, FaultSpec):
                 raise TypeError(f"schedule entry needs a FaultSpec, got {spec!r}")
-        self.rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
+        self.rng = make_rng(seed)
         self.count = 0
         self._next = 0
 

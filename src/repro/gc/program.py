@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro._pcg64 import Rng
 from repro.gc.actions import Action
 from repro.gc.domains import Domain, check_value
 from repro.gc.state import State
@@ -44,7 +45,7 @@ class Process:
                     f"attached to process {self.pid}"
                 )
 
-    def enabled_actions(self, state: State, rng: Any = None) -> list[Action]:
+    def enabled_actions(self, state: State, rng: Rng | None = None) -> list[Action]:
         return [a for a in self.actions if a.enabled(state, rng)]
 
 
@@ -103,7 +104,7 @@ class Program:
             for pid in range(self.nprocs):
                 check_value(decl.domain, decl.name, state.get(decl.name, pid))
 
-    def arbitrary_state(self, rng: Any) -> State:
+    def arbitrary_state(self, rng: Rng) -> State:
         """A uniformly random state over the declared domains.
 
         This is exactly the paper's undetectable-fault perturbation applied

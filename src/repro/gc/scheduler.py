@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Protocol
 
-import numpy as np
-
+from repro._pcg64 import Rng, make_rng
 from repro.gc.actions import Action, apply_updates
 from repro.gc.compile import CompiledProgram
 from repro.gc.incremental import EnabledIndex
@@ -52,12 +51,6 @@ class Daemon(Protocol):
         in this state).
         """
         ...
-
-
-def _make_rng(seed: Any) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 #: Valid values for the daemons' ``backend`` parameter.
@@ -271,12 +264,12 @@ class RandomFairDaemon(_IncrementalMixin):
 
     def __init__(
         self,
-        seed: Any = None,
+        seed: int | Rng | None = None,
         tracer: Any = None,
         incremental: bool = True,
         backend: str = "interpreter",
     ) -> None:
-        self.rng = _make_rng(seed)
+        self.rng = make_rng(seed)
         self.tracer = ensure_tracer(tracer)
         self.incremental = incremental
         self.backend = _check_backend(backend)
@@ -341,13 +334,13 @@ class MaximalParallelDaemon(_IncrementalMixin):
 
     def __init__(
         self,
-        seed: Any = None,
+        seed: int | Rng | None = None,
         random_choice: bool = False,
         tracer: Any = None,
         incremental: bool = True,
         backend: str = "interpreter",
     ) -> None:
-        self.rng = _make_rng(seed)
+        self.rng = make_rng(seed)
         self.random_choice = random_choice
         self.tracer = ensure_tracer(tracer)
         self.incremental = incremental

@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
+from repro._pcg64 import Rng, make_rng
 from repro.gc.actions import Action, apply_updates
 from repro.gc.program import Program
 from repro.gc.state import State
@@ -88,7 +87,7 @@ class TimedSimulator:
         self,
         program: Program,
         durations: DurationFn | Mapping[str, float] | None = None,
-        seed: Any = None,
+        seed: int | Rng | None = None,
         injector: Any = None,
         random_choice: bool = False,
         record_trace: bool = False,
@@ -99,11 +98,7 @@ class TimedSimulator:
             self.duration_fn = make_duration_fn(durations)
         else:
             self.duration_fn = durations
-        self.rng = (
-            seed
-            if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(seed)
-        )
+        self.rng = make_rng(seed)
         self.injector = injector
         self.random_choice = random_choice
         self.record_trace = record_trace

@@ -23,7 +23,9 @@ from repro.barrier.rb import make_rb
 from repro.barrier.tokenring import make_token_ring
 
 #: RNG factories: unseeded when called with no arguments (or ``None``).
-_RNG_FACTORIES = {"default_rng", "Random"}
+#: ``default_rng`` is matched by name, so numpy's and ``repro._pcg64``'s
+#: are both covered.
+_RNG_FACTORIES = {"default_rng", "make_rng", "Random"}
 
 #: Constructors taking a seed: name -> how many positional arguments are
 #: needed before the seed slot is covered positionally.

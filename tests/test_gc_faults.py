@@ -118,3 +118,27 @@ class TestInjector:
             events.extend(multi.maybe_inject(state, step))
         assert multi.count == 2
         assert len(events) == 2
+
+    def test_seed_picks_the_generator_the_schedule_can_draw_from(self, cb4):
+        spec = FaultSpec.undetectable_all(cb4)
+
+        def faults(schedule, seed):
+            inj = FaultInjector(cb4, spec, schedule, seed=seed)
+            state = cb4.initial_state()
+            events = [
+                (e.step, e.pid, e.updates)
+                for step in range(400)
+                for e in inj.maybe_inject(state, step, time=0.5 * step)
+            ]
+            assert events
+            return inj.rng, events
+
+        # An int seed and numpy's generator of that seed are one stream.
+        core, drawn = faults(BernoulliSchedule(0.05), 5)
+        assert not isinstance(core, np.random.Generator)
+        assert faults(BernoulliSchedule(0.05), np.random.default_rng(5))[1] == drawn
+        # ``exponential`` exists on numpy's generator only.
+        built, drawn = faults(ExponentialSchedule(0.05), 5)
+        assert isinstance(built, np.random.Generator)
+        mine = np.random.default_rng(5)
+        assert faults(ExponentialSchedule(0.05), mine) == (mine, drawn)

@@ -11,6 +11,7 @@ deferred into first use.  See DESIGN.md, "Import layering".
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -24,6 +25,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Never needed by the net/serve/chaos-plan/obs entry points.
 BANNED = ("numpy", "networkx", "repro.experiments", "repro.protosim", "repro.des")
+
+#: Banned for the gc entry point, which draws from ``repro._pcg64``.  The
+#: ``repro.*`` names above do not apply to it: the adapter registry needs
+#: ``repro.experiments.sweep`` (the campaign pool).
+THIRD_PARTY = ("numpy", "networkx")
 
 #: A 2-barrier 3-node tree job over the memory transport.
 TREE_JOB = """
@@ -54,20 +60,45 @@ assert not result.errors, result.errors
 assert [o["outcome"] for o in result.outcomes] == ["finished"] * 2, result.outcomes
 """
 
-#: name -> (imports, module-count ceiling, first job or None)
+#: The bench's ``gc_mb_faulty`` unit in small: one generated plan (6
+#: detectable + 2 undetectable faults) through MB on both backends.
+GC_JOB = """
+plan = FaultPlan.generate(
+    3, 8, detectable=6, undetectable=2, start=50, stop=800, steps=True
+)
+config = CampaignConfig(nprocs=8, nphases=4, target_phases=40, max_steps=10**6)
+for engine in ("gc:mb", "gc:mb+compiled"):
+    outcome = get_adapter(engine).run(plan, config)
+    assert outcome.ok and outcome.reached and not outcome.violations, outcome
+    assert outcome.successful_phases == 40 and outcome.faults_fired == 8, outcome
+"""
+
+#: name -> (imports, module-count ceiling, first job or None, banned)
 ENTRY_POINTS = {
-    "repro.net": ("from repro.net import NetConfig, run_sync", 255, TREE_JOB),
+    "repro.net": ("from repro.net import NetConfig, run_sync", 255, TREE_JOB, BANNED),
     # What a spawned shard worker loads to unpickle ``_worker_main``; its
     # ``ShardSpec`` then brings in ``repro.net.runtime`` (the cone above).
-    "repro.net.shard": ("import repro.net.shard", 245, None),
+    "repro.net.shard": ("import repro.net.shard", 245, None, BANNED),
     "repro.serve": (
         "import repro.serve.daemon, repro.serve.loadgen",
         235,
         SERVE_ROUND,
+        BANNED,
     ),
-    "repro.serve.cli": ("import repro.serve.cli", 210, None),
-    "repro.chaos.plan": ("import repro.chaos.plan", 145, None),
-    "repro.obs": ("from repro.obs import Tracer, summarize", 150, None),
+    "repro.serve.cli": ("import repro.serve.cli", 210, None, BANNED),
+    "repro.chaos.plan": ("import repro.chaos.plan", 145, None, BANNED),
+    "repro.obs": ("from repro.obs import Tracer, summarize", 150, None, BANNED),
+    # A gc chaos target: the registry and the plan, then the engine the
+    # adapter imports on its first run (named here so the job may load
+    # nothing further).  numpy alone would add ~100 modules.
+    "gc": (
+        "from repro.chaos import CampaignConfig, FaultPlan, get_adapter\n"
+        "import repro.chaos.plan, repro.barrier.mb, repro.obs.observer\n"
+        "import repro.gc.faults, repro.gc.scheduler, repro.gc.simulator",
+        150,
+        GC_JOB,
+        THIRD_PARTY,
+    ),
 }
 
 PROBE = """
@@ -107,10 +138,10 @@ def _loaded(modules: list[str], banned: str) -> list[str]:
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_point_stays_inside_its_cone(name):
-    imports, ceiling, job = ENTRY_POINTS[name]
+    imports, ceiling, job, banned_here = ENTRY_POINTS[name]
     seen = _probe(imports, job)
     for stage, modules in seen.items():
-        for banned in BANNED:
+        for banned in banned_here:
             assert not _loaded(modules, banned), (stage, banned)
         assert len(modules) < ceiling, (stage, len(modules))
     # Not a deferral: the first job found everything it needs loaded.
@@ -120,15 +151,78 @@ def test_entry_point_stays_inside_its_cone(name):
 
 def test_net_job_leaves_the_chaos_adapter_registry_unloaded():
     # A run needs the monitors and the plan, not the 22 engine adapters.
-    imports, _ceiling, job = ENTRY_POINTS["repro.net"]
+    imports, _ceiling, job, _banned = ENTRY_POINTS["repro.net"]
     assert not _loaded(_probe(imports, job)["after_job"], "repro.chaos.adapters")
 
 
-def test_positive_control_gc_engine_does_load_numpy():
-    # The probe can see numpy: the gc daemons always draw from it.
-    seen = _probe("from repro.gc import Simulator")
-    assert _loaded(seen["after_import"], "numpy")
-    # ... but naming the package alone loads none of it.
+def test_positive_control_exponential_schedule_does_load_numpy():
+    # The probe can see numpy: the one schedule under ``gc/`` that draws
+    # ``exponential`` makes its injector build numpy's generator.
+    seen = _probe(
+        "from repro.barrier.cb import make_cb\n"
+        "from repro.gc.faults import ExponentialSchedule, FaultInjector, FaultSpec",
+        "program = make_cb(2, 2)\n"
+        "spec = FaultSpec.undetectable_all(program)\n"
+        "FaultInjector(program, spec, ExponentialSchedule(0.1), seed=1)",
+    )
+    assert not _loaded(seen["after_import"], "numpy")
+    assert _loaded(seen["after_job"], "numpy")
+    # Naming the package alone loads none of it.
     seen = _probe("import repro.gc")
     assert not _loaded(seen["after_import"], "numpy")
     assert "repro.gc.scheduler" not in seen["after_import"]
+
+
+def _module_level_imports(tree: ast.Module) -> list[str]:
+    """Names imported by statements that run at import time (anything
+    outside a function body; ``if TYPE_CHECKING:`` blocks do not run)."""
+    found: list[str] = []
+    stack: list[ast.AST] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.append(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("package", ["gc", "chaos"])
+def test_no_module_level_numpy_under(package):
+    # Tier-1 mirror of ruff's TID253 (pyproject.toml), which the build
+    # container cannot run.
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted((SRC / "repro" / package).rglob("*.py"))
+        for name in _module_level_imports(ast.parse(path.read_text()))
+        if name.split(".")[0] in THIRD_PARTY
+    ]
+    assert not offenders, offenders
+
+
+def test_module_level_import_scanner():
+    source = textwrap.dedent(
+        """
+        from typing import TYPE_CHECKING
+        import os, numpy.random
+        if TYPE_CHECKING:
+            import networkx
+        try:
+            from numpy import array
+        except ImportError:
+            pass
+        class C:
+            import json
+            def f(self):
+                import numpy as np
+        """
+    )
+    assert sorted(_module_level_imports(ast.parse(source))) == [
+        "json", "numpy", "numpy.random", "os", "typing",
+    ]

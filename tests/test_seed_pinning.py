@@ -42,6 +42,20 @@ class TestScannerFlags:
             "default_rng",
         ]
 
+    def test_unseeded_core_generator(self):
+        src = (
+            "from repro._pcg64 import default_rng, make_rng\n"
+            "a = default_rng()\n"
+            "b = _pcg64.default_rng(None)\n"
+            "c = make_rng(None)\n"
+            "d = make_rng(7)\n"
+        )
+        assert unseeded_rng_calls(src) == [
+            (2, "default_rng"),
+            (3, "default_rng"),
+            (4, "make_rng"),
+        ]
+
     def test_unseeded_daemons_and_injectors(self):
         src = (
             "d = MaximalParallelDaemon()\n"

@@ -19,7 +19,12 @@ programs:
   synchronous/maximal-parallel execution well defined;
 * :mod:`repro.gc.program` -- processes and programs, plus superposition;
 * :mod:`repro.gc.scheduler` -- daemons: round-robin, random-fair and
-  maximal-parallel;
+  maximal-parallel, each a plain evaluate-every-guard body plus one
+  body over the step engine;
+* :mod:`repro.gc.incremental` -- the step engine: cached guard
+  enabledness with dirty-slot invalidation, and the ``execute`` /
+  ``step_round`` / ``successors`` operations daemons and explorer step
+  through;
 * :mod:`repro.gc.simulator` -- run loops with stop predicates and traces;
 * :mod:`repro.gc.timed` -- timed maximal-parallel execution with
   per-action durations (the paper's real-time values);
@@ -29,10 +34,11 @@ programs:
 * :mod:`repro.gc.properties` -- closure/convergence and safety checkers;
 * :mod:`repro.gc.explore` -- an explicit-state model checker for small
   instances (used to verify the paper's lemmas exhaustively);
-* :mod:`repro.gc.compile` -- the compiled backend: guards and effects
-  specialized into memo tables over an array-backed state mirror, with
-  per-action fallback to live interpretation (``backend="compiled"`` on
-  the daemons and the explorer).
+* :mod:`repro.gc.compile` -- the compiled backend, a subclass of the
+  step engine: guards and effects specialized into memo tables over an
+  array-backed state mirror, with per-action fallback to live
+  interpretation (``backend="compiled"`` on the daemons and the
+  explorer).
 """
 
 from typing import TYPE_CHECKING

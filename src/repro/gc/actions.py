@@ -98,19 +98,21 @@ class Action:
     ``reads`` optionally declares the guard's read-set as a frozenset of
     ``(variable, pid)`` cells.  Declaring it is a *purity contract*: the
     guard's boolean value must be a deterministic function of exactly
-    those cells (no RNG draws, no reads outside the set).  The
-    incremental daemons use the declaration to skip re-evaluating guards
-    whose cells were untouched by the last step; an action with
-    ``reads=None`` is re-evaluated every step, which is always correct.
+    those cells (no RNG draws, no reads outside the set).  The step
+    engine (:class:`repro.gc.incremental.EnabledIndex`) uses the
+    declaration to skip re-evaluating guards whose cells were untouched
+    by the last step; with ``reads=None`` the live engine re-evaluates
+    the guard every step (the compiled one learns its read-set), which
+    is always correct.
     ``writes`` optionally declares the set of *variable names* the
     statement may write (always at the owning pid, per the locality
-    discipline).  Like ``reads`` it is a contract: when declared, the
-    incremental index dirties exactly the declared cells after a fire
-    (:meth:`repro.gc.incremental.EnabledIndex.note_fire`) -- a declared
-    *empty* set promises the statement's updates never change any cell.
-    ``writes=None`` means undeclared; the daemons then derive dirty
-    cells from the update list actually applied, which is always
-    correct.
+    discipline).  Like ``reads`` it is a contract, and it steers the
+    live engine only: when declared, a fire dirties exactly the declared
+    cells (:meth:`repro.gc.incremental.EnabledIndex.note_fire`) -- a
+    declared *empty* set promises the statement's updates never change
+    any cell.  ``writes=None`` means undeclared; dirty cells are then
+    derived from the update list actually applied, which is always
+    correct (and is what the compiled engine does for every action).
     """
 
     name: str

@@ -17,9 +17,10 @@ the interpreter redoes constantly:
   stored entry's key covers its own read path).  Memoized effect entries
   precompute the write-through triples, the mirror writes, and the dirty
   slots, so a hit applies in a handful of C-level operations.
-* **enabled flags with slot-granular dirty tracking** -- the same
-  protocol as :class:`~repro.gc.incremental.EnabledIndex`, but watching
-  mirror slots instead of declared cells, which also covers learned
+* **enabled flags with slot-granular dirty tracking** -- inherited:
+  :class:`CompiledProgram` *is* an
+  :class:`~repro.gc.incremental.EnabledIndex` whose guard evaluators go
+  through the memo and whose watcher table also covers learned
   (undeclared) guards.
 
 **Fallback rules** -- specialization is per-action and bails out to live
@@ -33,9 +34,8 @@ interpretation whenever memoization would be unsound:
 * an action reading or writing a variable whose domain cannot be
   interned (unenumerable or unhashable values) is evaluated live;
 * writes made behind the backend's back (fault injectors, tests poking
-  ``State.set``) are caught via :attr:`State.version` and trigger a
-  mirror re-encode plus full flag refresh, mirroring the interpreter's
-  rebuild.
+  ``State.set``) are caught by the inherited :attr:`State.version` rule;
+  the rebind additionally re-encodes the mirror.
 
 Every evaluation that does run is the *same* closure the interpreter
 would call, against the *same* :class:`State`, with the same RNG in the
@@ -49,11 +49,11 @@ including under seeded fault injection.
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable
 
-from repro.gc.actions import Action
-from repro.gc.incremental import RecordingStateView
+from repro.gc.incremental import EnabledIndex, RecordingStateView
 from repro.gc.program import Program
 from repro.gc.state import State
 
@@ -167,9 +167,13 @@ class StateCodec:
         by_name = {d.name: d for d in program.declarations}
         self.tables: list[dict[Any, int] | None] = []
         for name in self.names:
+            table: dict[Any, int] | None
             try:
-                values = tuple(by_name[name].domain.values())
-                table: dict[Any, int] | None = (
+                values = by_name[name].domain.values()
+                # Size first: an oversized domain is never iterated.
+                if not hasattr(values, "__len__"):
+                    values = tuple(values)
+                table = (
                     None
                     if len(values) > MAX_DOMAIN_SIZE
                     else {v: i for i, v in enumerate(values)}
@@ -204,35 +208,37 @@ class StateCodec:
         return [0] * self.ncells
 
 
-class CompiledProgram:
-    """Array-backed execution engine for one program.
+class CompiledProgram(EnabledIndex):
+    """The step engine with memoized guards and effects over an array
+    mirror of the state.
 
-    Drives the same step protocol as :class:`EnabledIndex` (refresh /
-    mark_stale / is_enabled / enabled_slots) but owns the apply path
-    too: :meth:`execute` (interleaving daemons) and
-    :meth:`updates_for` + :meth:`apply` (the maximal-parallel daemon,
-    which must evaluate every chosen statement against the pre-step
-    state before applying any update).  :meth:`run_rounds` batches whole
-    maximal-parallel rounds without per-step daemon overhead, and
-    :meth:`successors` serves the explorer.
+    Everything about flags, dirty slots, selection and the
+    :attr:`State.version` rebind rule is :class:`EnabledIndex`'s; this
+    class overrides only what memoization changes: guard evaluation
+    (:meth:`_guard`, through the evaluator table), the apply path
+    (:meth:`execute` = :meth:`updates_for` + :meth:`apply`, through
+    effect entries, with dirty slots derived from the updates applied --
+    declared ``writes`` steer the live engine only), :meth:`step_round`
+    (the round memo, and statements evaluated against the live pre-apply
+    state instead of a snapshot copy), the mirror re-encode on rebind,
+    and :meth:`successors`.  :meth:`run_rounds` batches rounds without
+    a daemon around them.
 
     One instance per (daemon, program) -- memo tables persist across
     runs and across explorer root states, which is where the speedup
     comes from.
     """
 
+    __slots__ = (
+        "codec", "stats", "_g_slots", "_g_get", "_g_memo", "_g_fixed",
+        "_e_slots", "_e_get", "_e_memo", "_round_capable", "_round_bytes",
+        "_round_memo", "_prev_round", "_pending_prev", "_cells",
+    )  # fmt: skip
+
     def __init__(self, program: Program, codec: StateCodec | None = None) -> None:
-        self.program = program
+        super().__init__(program)
         self.codec = codec or StateCodec(program)
-        self.actions: tuple[Action, ...] = tuple(program.actions())
         n = len(self.actions)
-        by_pid: list[tuple[int, ...]] = []
-        i = 0
-        for proc in program.processes:
-            by_pid.append(tuple(range(i, i + len(proc.actions))))
-            i += len(proc.actions)
-        self.by_pid: tuple[tuple[int, ...], ...] = tuple(by_pid)
-        self.pid_of: tuple[int, ...] = tuple(a.pid for a in self.actions)
         self.stats = {
             "guard_hits": 0,
             "guard_misses": 0,
@@ -261,16 +267,19 @@ class CompiledProgram:
             self._g_get.append(self._getter(slots))
             self._g_memo.append({})
             self._g_fixed.append(fixed)
+        self._eval = [partial(self._guard, idx) for idx in range(n)]
         # Effect specialization state: always learned.
         self._e_slots: list[tuple[int, ...] | None] = [()] * n
         self._e_get: list[Callable[[list[int]], Any] | None] = [None] * n
         self._e_memo: list[dict[Any, _EffectEntry]] = [{} for _ in range(n)]
-        # Live guards are re-evaluated every step (like EnabledIndex's
-        # untracked set); kept sorted for deterministic RNG order.
-        self._live: list[int] = sorted(
+        # What is live and who watches what follows the specialization,
+        # not the declarations: an undeclared guard is learned (watched
+        # through its learned slots), a guard over uninternable cells is
+        # live even when declared.
+        self._live = sorted(
             idx for idx, s in enumerate(self._g_slots) if s is None
         )
-        self._watchers: dict[int, list[int]] = {}
+        self._watchers = {}
         for idx, slots in enumerate(self._g_slots):
             if slots:
                 for slot in slots:
@@ -281,23 +290,15 @@ class CompiledProgram:
         # cycling replays whole rounds off one dict lookup.
         tables = self.codec.tables
         self._round_capable = all(t is not None for t in tables)
-        self._round_bytes = self._round_capable and all(
-            len(t) < 256 for t in tables
+        self._round_bytes = all(
+            t is not None and len(t) < 256 for t in tables
         )
         self._round_memo: dict[Any, _RoundEntry] = {}
         #: The entry applied last round (chain head), and the chain-valid
         #: predecessor of a round being evaluated (linked on store).
         self._prev_round: _RoundEntry | None = None
         self._pending_prev: _RoundEntry | None = None
-        # Runtime binding.
         self._cells: list[int] = self.codec.new_cells()
-        self._state: State | None = None
-        self._expected_version = -1
-        self._dirty: set[int] = set()
-        self.flags: list[bool] = [False] * n
-        self._stale = bytearray(b"\x01" * n)
-        self._lazy_used = True
-        self._enabled: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Specialization plumbing
@@ -349,6 +350,9 @@ class CompiledProgram:
     # Guard evaluation
     # ------------------------------------------------------------------
     def _guard(self, idx: int, state: State, rng: Any = None) -> bool:
+        """Action ``idx``'s guard through its memo; what the inherited
+        flag protocol calls (via the evaluator table) in place of
+        ``Action.enabled``."""
         slots = self._g_slots[idx]
         if slots is None:
             self.stats["guard_live"] += 1
@@ -381,93 +385,11 @@ class CompiledProgram:
         self._g_memo[idx][key] = result
         return result
 
-    # ------------------------------------------------------------------
-    # Flag maintenance (EnabledIndex protocol)
-    # ------------------------------------------------------------------
-    def _rebind_lazy(self, state: State) -> None:
+    def _rebind(self, state: State) -> None:
+        """Re-encode the mirror: it is what every memo key reads."""
         self.stats["rebinds"] += 1
         self.codec.encode_into(state, self._cells)
         self._state = state
-        self._stale[:] = b"\x01" * len(self._stale)
-        self._enabled = None
-
-    def mark_stale(self, state: State) -> None:
-        """Lazy refresh: mark invalidated flags, pull via :meth:`is_enabled`."""
-        self._lazy_used = True
-        stale = self._stale
-        if state is not self._state or state.version != self._expected_version:
-            self._rebind_lazy(state)
-        else:
-            for idx in self._live:
-                stale[idx] = 1
-            watchers = self._watchers
-            for slot in self._dirty:
-                hit = watchers.get(slot)
-                if hit is not None:
-                    for idx in hit:
-                        stale[idx] = 1
-        self._dirty.clear()
-        self._expected_version = state.version
-
-    def is_enabled(self, idx: int, state: State, rng: Any = None) -> bool:
-        """Cached enabledness of one action, re-evaluating iff stale."""
-        if self._stale[idx]:
-            self.flags[idx] = self._guard(idx, state, rng)
-            if self._g_slots[idx] is not None:
-                self._stale[idx] = 0
-            self._enabled = None
-        return self.flags[idx]
-
-    def refresh(self, state: State, rng: Any = None) -> list[bool]:
-        """Eager refresh; guards re-evaluate in declaration order so any
-        RNG consumption (live guards only) matches the interpreter."""
-        flags = self.flags
-        if state is not self._state or state.version != self._expected_version:
-            self.stats["rebinds"] += 1
-            self.codec.encode_into(state, self._cells)
-            self._state = state
-            for idx in range(len(flags)):
-                flags[idx] = self._guard(idx, state, rng)
-            self._enabled = None
-        else:
-            stale = set(self._live)
-            watchers = self._watchers
-            for slot in self._dirty:
-                hit = watchers.get(slot)
-                if hit is not None:
-                    stale.update(hit)
-            if self._lazy_used:
-                bits = self._stale
-                stale.update(idx for idx in range(len(bits)) if bits[idx])
-            enabled = self._enabled
-            for idx in sorted(stale):
-                new = self._guard(idx, state, rng)
-                if new != flags[idx]:
-                    flags[idx] = new
-                    if enabled is not None:
-                        if new:
-                            insort(enabled, idx)
-                        else:
-                            enabled.remove(idx)
-        if self._lazy_used:
-            self._stale[:] = bytes(len(self._stale))
-            self._lazy_used = False
-        self._dirty.clear()
-        self._expected_version = state.version
-        return flags
-
-    def enabled_slots(self) -> list[int]:
-        """Indices of enabled actions (valid after an eager refresh)."""
-        enabled = self._enabled
-        if enabled is None:
-            self._enabled = enabled = [
-                idx for idx, on in enumerate(self.flags) if on
-            ]
-        return enabled
-
-    def commit(self, state: State) -> None:
-        """Record the post-step version so own writes don't invalidate."""
-        self._expected_version = state.version
 
     # ------------------------------------------------------------------
     # Effect evaluation and application
@@ -668,34 +590,6 @@ class CompiledProgram:
         self._prev_round = entry
         return entry, None
 
-    def select_round(
-        self, rng: Any = None, random_choice: bool = False
-    ) -> tuple[list[int], bool]:
-        """Group :meth:`enabled_slots` by process and pick one action per
-        process (call after :meth:`refresh`).  Returns the chosen indices
-        and whether the selection was draw-free singletons (a necessary
-        condition for memoizing the round)."""
-        pid_of = self.pid_of
-        chosen: list[int] = []
-        group: list[int] = []
-        cur_pid = -1
-        singles = True
-        for i in self.enabled_slots():
-            pid = pid_of[i]
-            if pid != cur_pid:
-                if group:
-                    if len(group) > 1:
-                        singles = False
-                    chosen.append(self._pick(group, rng, random_choice))
-                group = []
-                cur_pid = pid
-            group.append(i)
-        if group:
-            if len(group) > 1:
-                singles = False
-            chosen.append(self._pick(group, rng, random_choice))
-        return chosen, singles
-
     def store_round(
         self,
         key: Any,
@@ -740,8 +634,9 @@ class CompiledProgram:
     ) -> list[tuple[int, list[tuple[str, Any]]]]:
         """One maximal-parallel round in place, through the round memo;
         returns ``(action index, updates)`` pairs in firing order.
-        Selection, evaluation order and RNG usage match
-        :class:`MaximalParallelDaemon` exactly."""
+        Selection, evaluation order and RNG usage match the live engine
+        exactly; every chosen statement is evaluated against the
+        pre-apply state before any update is applied."""
         entry, key = self._round_fast(state)
         if entry is not None:
             return [(i, list(ups)) for i, ups in entry.fires]
@@ -750,10 +645,13 @@ class CompiledProgram:
             # The rebind made the mirror current; memoize this round too
             # (first round, and rounds after external writes).
             key = self._round_key()
-        chosen, singles = self.select_round(rng, random_choice)
+        chosen = self.select_round(rng, random_choice)
         if not chosen:
             self._pending_prev = None
             return []
+        # One choice per enabled action means every process had a single
+        # candidate: the selection drew nothing either way.
+        singles = len(chosen) == len(self.enabled_slots())
         evaluated = [(i, self.updates_for(i, state, rng)) for i in chosen]
         for i, (ups, eff) in evaluated:
             self.apply(i, state, ups, eff)
@@ -769,48 +667,26 @@ class CompiledProgram:
     ) -> int:
         """Run up to ``rounds`` maximal-parallel rounds in place, without
         per-step daemon/tracer overhead; returns actions fired.  Stops
-        early when the program goes silent.  Selection, evaluation order
-        and RNG usage match :class:`MaximalParallelDaemon` exactly."""
+        early when the program goes silent."""
         fired = 0
         for _ in range(rounds):
-            entry, key = self._round_fast(state)
-            if entry is not None:
-                fired += len(entry.fires)
-                continue
-            self.refresh(state, rng)
-            if key is None and self._round_capable and not self._live:
-                key = self._round_key()
-            chosen, singles = self.select_round(rng, random_choice)
-            if not chosen:
-                self._pending_prev = None
+            fires = self.step_round(state, rng, random_choice)
+            if not fires:  # stored rounds always fire something
                 break
-            evaluated = [
-                (i, self.updates_for(i, state, rng)) for i in chosen
-            ]
-            for i, (ups, eff) in evaluated:
-                self.apply(i, state, ups, eff)
-            fired += len(evaluated)
-            self.store_round(key, evaluated, singles)
+            fired += len(fires)
         return fired
-
-    @staticmethod
-    def _pick(group: list[int], rng: Any, random_choice: bool) -> int:
-        if random_choice and len(group) > 1:
-            return group[int(rng.integers(0, len(group)))]
-        return group[0]
 
     # ------------------------------------------------------------------
     # Explorer interface
     # ------------------------------------------------------------------
     def successors(self, state: State) -> list[State]:
-        """One-step successors under nondeterministic interleaving;
-        same states, in the same action order, as
-        :meth:`Explorer.successors`."""
+        """Same states, in the same action order, as the live engine's,
+        through the guard and effect memos.  Not stateless: it re-encodes
+        the shared mirror, so calls must be serialized."""
         self.codec.encode_into(state, self._cells)
-        # Invalidate any daemon-style binding: flags no longer match.
+        # Drop any daemon-style binding (the mirror no longer matches
+        # it): the next refresh/mark_stale rebinds and rebuilds.
         self._state = None
-        self._lazy_used = True
-        self._stale[:] = b"\x01" * len(self._stale)
         out = []
         for idx in range(len(self.actions)):
             if self._guard(idx, state, None):

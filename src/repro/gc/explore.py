@@ -46,7 +46,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Hashable, Iterable
 
+from repro.gc.incremental import EnabledIndex
 from repro.gc.program import Program
+from repro.gc.scheduler import _select_engine
 from repro.gc.state import State
 
 StatePredicate = Callable[[State], bool]
@@ -174,14 +176,11 @@ class Explorer:
         self.max_states = max_states
         self.compact_keys = compact_keys
         self.workers = workers
-        if backend not in ("interpreter", "compiled"):
-            raise ValueError(f"unknown explorer backend {backend!r}")
         self.backend = backend
-        self._compiled = None
-        if backend == "compiled":
-            from repro.gc.compile import CompiledProgram
-
-            self._compiled = CompiledProgram(program)
+        # One engine expands every state.  The live engine's
+        # ``successors`` is stateless, so a program the daemons would
+        # run plain (nothing declared: no engine) still goes through it.
+        self._engine = _select_engine(program, backend) or EnabledIndex(program)
         self.codec = KeyCodec(program) if compact_keys else None
         #: key -> tuple of (succ_key, succ_state-or-None); states are
         #: kept only until first use to avoid holding the whole graph.
@@ -207,17 +206,7 @@ class Explorer:
         copied.  Actions whose statements are genuinely nondeterministic
         should express the choice through distinct actions.
         """
-        if self._compiled is not None:
-            # Memoized guards/effects over the array mirror; identical
-            # states in the identical action order.
-            return self._compiled.successors(state)
-        out = []
-        for action in self.program.actions():
-            if action.enabled(state):
-                succ = state.snapshot()
-                action.execute(succ)
-                out.append(succ)
-        return out
+        return self._engine.successors(state)
 
     def _expand(self, state: State, key: Key) -> tuple[tuple[Key, State], ...]:
         """Successors of ``key`` as (key, state) pairs, memoized.
@@ -255,11 +244,14 @@ class Explorer:
         seen: set[Key] = set(initial)
         transitions: dict[Key, set[Key]] = {}
         truncated = False
-        # The compiled backend shares one mutable array mirror across
-        # calls, so its expansion is serialized (workers are ignored).
+        # Only the live engine's ``successors`` is stateless; a
+        # memoizing engine shares one mutable array mirror across calls,
+        # so its expansion is serialized (workers are ignored).
         pool = (
             ThreadPoolExecutor(max_workers=self.workers)
-            if self.workers and self.workers > 1 and self._compiled is None
+            if self.workers
+            and self.workers > 1
+            and type(self._engine) is EnabledIndex
             else None
         )
         try:

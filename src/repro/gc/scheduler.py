@@ -16,11 +16,19 @@ Three daemons are provided:
   performance experiments; all guards/statements evaluate against the
   pre-step snapshot, then all updates apply at once (race free because
   statements only write the owner's variables).
+
+Each daemon has two step bodies and no other fork: the *plain* body
+evaluates every guard it needs, every step; the *engine* body steps
+through a :class:`~repro.gc.incremental.EnabledIndex` -- the live flag
+cache, or its memoizing subclass
+:class:`~repro.gc.compile.CompiledProgram` under the compiled backend
+-- picked once per program by :func:`_select_engine`.  Traces are
+identical whichever body runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol
+from typing import Any, Protocol
 
 from repro._pcg64 import Rng, make_rng
 from repro.gc.actions import Action, apply_updates
@@ -31,20 +39,21 @@ from repro.gc.state import State
 from repro.obs.tracer import ensure_tracer
 
 
-#: Round-robin adaptation: engage the incremental index once the scan
+#: Round-robin adaptation: engage the live engine's flags once the scan
 #: averages this many guard evaluations per step, judged after this many
-#: steps.  Break-even is ~2-3 evaluations (the index costs roughly that
+#: steps.  Break-even is ~2-3 evaluations (the flags cost roughly that
 #: much bookkeeping per step); 4 keeps a safety margin.
 ROUND_ROBIN_ADAPT_THRESHOLD = 4.0
 ROUND_ROBIN_ADAPT_WINDOW = 64
+
+#: What one step reports: ``(action, updates)`` per fired action.
+Fired = list[tuple[Action, list[tuple[str, Any]]]]
 
 
 class Daemon(Protocol):
     """One scheduling step: pick and execute actions, report what fired."""
 
-    def step(
-        self, program: Program, state: State
-    ) -> list[tuple[Action, list[tuple[str, Any]]]]:
+    def step(self, program: Program, state: State) -> Fired:
         """Execute one step in place; return ``(action, updates)`` pairs.
 
         An empty list means no action was enabled (the program is silent
@@ -65,43 +74,48 @@ def _check_backend(backend: str) -> str:
     return backend
 
 
-class _IncrementalMixin:
-    """Shared cache management for the incremental daemons.
+def _select_engine(
+    program: Program, backend: str, incremental: bool = True
+) -> EnabledIndex | None:
+    """Which step engine drives ``program`` -- decided here and nowhere
+    else.  ``backend="compiled"`` always gets the memoizing engine; the
+    live engine only pays for itself when ``incremental`` is asked for
+    and some action declares its reads; ``None`` means the plain
+    evaluate-every-guard body, which is always correct."""
+    if _check_backend(backend) == "compiled":
+        return CompiledProgram(program)
+    if incremental:
+        engine = EnabledIndex(program)
+        if engine.has_tracked:
+            return engine
+    return None
 
-    A daemon holds one :class:`EnabledIndex` per program; stepping a
-    different program rebuilds it.  ``incremental=False`` (or a program
-    with no declared read-sets) falls back to the historical
-    evaluate-every-guard behaviour, which is always correct.
 
-    ``backend="compiled"`` swaps the whole step path for a
-    :class:`~repro.gc.compile.CompiledProgram` (memoized guards and
-    effects over an array mirror); selection order, RNG usage and hence
-    traces are identical to the interpreter.
+class _EngineMixin:
+    """A daemon holds one step engine per program; stepping a different
+    program selects again (:func:`_select_engine`).
+
+    ``None`` selects the daemon's plain body -- the reference the
+    differential oracle compares against (``incremental=False``) and
+    the only path for programs that declare nothing.  Selection order,
+    RNG usage and hence traces are identical in both bodies.
     """
 
     incremental: bool
     backend: str = "interpreter"
-    _index: EnabledIndex | None = None
-    _compiled: CompiledProgram | None = None
+    _engine: EnabledIndex | None = None
+    _engine_program: Program | None = None
 
-    def _index_for(self, program: Program) -> EnabledIndex | None:
-        if not self.incremental:
-            return None
-        index = self._index
-        if index is None or index.program is not program:
-            index = EnabledIndex(program)
-            self._index = index
-        return index if index.has_tracked else None
-
-    def _compiled_for(self, program: Program) -> CompiledProgram:
-        compiled = self._compiled
-        if compiled is None or compiled.program is not program:
-            compiled = CompiledProgram(program)
-            self._compiled = compiled
-        return compiled
+    def _engine_for(self, program: Program) -> EnabledIndex | None:
+        if program is not self._engine_program:
+            self._engine_program = program
+            self._engine = _select_engine(
+                program, self.backend, self.incremental
+            )
+        return self._engine
 
 
-class RoundRobinDaemon(_IncrementalMixin):
+class RoundRobinDaemon(_EngineMixin):
     """Cycle through processes; at each visit execute the first enabled
     action of that process (actions are tried in declaration order).
 
@@ -111,19 +125,18 @@ class RoundRobinDaemon(_IncrementalMixin):
     paper's intended priority holds -- all paper programs have mutually
     exclusive guards per process, making this moot).
 
-    With ``incremental`` (the default) the daemon is *adaptive*: it
-    starts with the plain scan while counting guard evaluations for
+    Over the live engine the daemon is *adaptive*: it starts with the
+    plain scan while counting guard evaluations for
     :data:`ROUND_ROBIN_ADAPT_WINDOW` steps, then decides once -- engage
-    an :class:`EnabledIndex` (lazy dirty-set invalidation) if the
-    average scan length crossed :data:`ROUND_ROBIN_ADAPT_THRESHOLD`
-    evaluations per step, or drop back to the plain scan for good (so
-    the counting overhead is bounded by the window).  On programs where
-    the token follows the scan order (RB on a ring: ~1 evaluation/step)
-    the plain scan is already optimal and the cache would be pure
-    overhead; on programs with many simultaneously-enabled actions per
-    scan (MB: ~16 evaluations/step) the index wins severalfold.  The
-    selected action -- and hence the trace -- is identical in every
-    mode.
+    the engine's flags (lazy dirty-set invalidation) if the average scan
+    length crossed :data:`ROUND_ROBIN_ADAPT_THRESHOLD` evaluations per
+    step, or drop back to the plain scan for good (so the counting is
+    bounded by the window).  On programs where the token follows the
+    scan order (RB on a ring: ~1 evaluation/step) the plain scan is
+    already optimal and the cache would be pure overhead; on programs
+    with many simultaneously-enabled actions per scan (MB: ~16
+    evaluations/step) the flags win severalfold.  The selected action --
+    and hence the trace -- is identical in every mode.
     """
 
     def __init__(
@@ -141,125 +154,81 @@ class RoundRobinDaemon(_IncrementalMixin):
         self._declined = False
         self._evals = 0
         self._steps = 0
-        self._adapt_index: EnabledIndex | None = None
 
-    def step(self, program, state):
-        if self.backend == "compiled":
-            return self._step_compiled(
-                self._compiled_for(program), program, state
-            )
-        index = self._index_for(program) if self.incremental else None
-        if index is not None:
-            if index is not self._adapt_index:
-                # New program (or first step): restart the adaptation.
-                self._adapt_index = index
-                self._engaged = False
-                self._declined = False
-                self._evals = 0
-                self._steps = 0
-            if self._engaged:
-                return self._step_incremental(index, program, state)
-            if not self._declined:
-                return self._step_adapting(index, program, state)
-        n = program.nprocs
-        for offset in range(n):
-            pid = (self._next + offset) % n
-            for action in program.processes[pid].actions:
-                if action.enabled(state):
-                    ups = action.execute(state)
-                    self._next = (pid + 1) % n
-                    if self.tracer.enabled:
-                        self.tracer.incr("gc.daemon_steps")
-                        self.tracer.incr("gc.actions_fired")
-                    return [(action, ups)]
-        if self.tracer.enabled:
-            self.tracer.incr("gc.daemon_steps")
-        return []
-
-    def _step_adapting(self, index: EnabledIndex, program, state):
-        """The plain scan, plus the evaluation counting that decides
-        when to engage the incremental index."""
+    def step(self, program: Program, state: State) -> Fired:
+        engine = self._engine
+        if program is not self._engine_program:
+            # New program (or first step): restart the adaptation.  The
+            # probe weighs the live engine's bookkeeping against the
+            # scan; memoized guards beat the scan even at ~1 evaluation
+            # per step, so the compiled engine engages at once -- and
+            # without an engine there is nothing to probe for.
+            engine = self._engine_for(program)
+            self._engaged = isinstance(engine, CompiledProgram)
+            self._declined = engine is None
+            self._evals = 0
+            self._steps = 0
+        if engine is not None and self._engaged:
+            return self._step_engine(engine, state)
         n = program.nprocs
         evals = 0
-        fired = None
+        fired: Fired = []
         for offset in range(n):
             pid = (self._next + offset) % n
             for action in program.processes[pid].actions:
                 evals += 1
                 if action.enabled(state):
-                    ups = action.execute(state)
+                    fired = [(action, action.execute(state))]
                     self._next = (pid + 1) % n
-                    fired = [(action, ups)]
                     break
-            if fired is not None:
+            if fired:
                 break
-        self._evals += evals
-        self._steps += 1
-        if self._steps >= ROUND_ROBIN_ADAPT_WINDOW:
-            # One-shot decision: either the index pays for itself or the
-            # plain scan resumes with zero counting overhead.
-            if self._evals >= ROUND_ROBIN_ADAPT_THRESHOLD * self._steps:
-                self._engaged = True
-            else:
-                self._declined = True
+        if not self._declined:
+            self._evals += evals
+            self._steps += 1
+            if self._steps >= ROUND_ROBIN_ADAPT_WINDOW:
+                # One-shot decision: either the flags pay for themselves
+                # or the plain scan resumes with no more bookkeeping.
+                if self._evals >= ROUND_ROBIN_ADAPT_THRESHOLD * self._steps:
+                    self._engaged = True
+                else:
+                    self._declined = True
         if self.tracer.enabled:
             self.tracer.incr("gc.daemon_steps")
-            if fired is not None:
+            if fired:
                 self.tracer.incr("gc.actions_fired")
-        return fired if fired is not None else []
+        return fired
 
-    def _step_compiled(self, compiled: CompiledProgram, program, state):
+    def _step_engine(self, engine: EnabledIndex, state: State) -> Fired:
         """Same scan, same selection -- flags pulled lazily from the
-        compiled engine's memoized guards."""
-        compiled.mark_stale(state)
-        n = program.nprocs
-        actions = compiled.actions
-        by_pid = compiled.by_pid
+        engine, so a step touches only the guards the scan reaches."""
+        engine.mark_stale(state)
+        by_pid = engine.by_pid
+        n = len(by_pid)
+        fired: Fired = []
         for offset in range(n):
             pid = (self._next + offset) % n
             for idx in by_pid[pid]:
-                if compiled.is_enabled(idx, state):
-                    ups = compiled.execute(idx, state)
+                if engine.is_enabled(idx, state):
+                    fired = [(engine.actions[idx], engine.execute(idx, state))]
                     self._next = (pid + 1) % n
-                    if self.tracer.enabled:
-                        self.tracer.incr("gc.daemon_steps")
-                        self.tracer.incr("gc.actions_fired")
-                    return [(actions[idx], ups)]
+                    break
+            if fired:
+                break
         if self.tracer.enabled:
             self.tracer.incr("gc.daemon_steps")
-        return []
-
-    def _step_incremental(self, index: EnabledIndex, program, state):
-        index.mark_stale(state)
-        n = program.nprocs
-        actions = index.actions
-        by_pid = index.by_pid
-        for offset in range(n):
-            pid = (self._next + offset) % n
-            for idx in by_pid[pid]:
-                if index.is_enabled(idx, state):
-                    action = actions[idx]
-                    ups = action.execute(state)
-                    index.note_fire(idx, ups)
-                    index.commit(state)
-                    self._next = (pid + 1) % n
-                    if self.tracer.enabled:
-                        self.tracer.incr("gc.daemon_steps")
-                        self.tracer.incr("gc.actions_fired")
-                    return [(action, ups)]
-        index.commit(state)
-        if self.tracer.enabled:
-            self.tracer.incr("gc.daemon_steps")
-        return []
+            if fired:
+                self.tracer.incr("gc.actions_fired")
+        return fired
 
 
-class RandomFairDaemon(_IncrementalMixin):
+class RandomFairDaemon(_EngineMixin):
     """Pick uniformly at random among all enabled actions.
 
-    Incremental mode (default) yields the exact same action sequence as
-    full evaluation for any program whose declared guards honour the
-    purity contract: the enabled *set* is identical, and declared guards
-    never draw from the RNG, so the random-choice stream is unchanged.
+    The engine body yields the exact same action sequence as full
+    evaluation for any program whose declared guards honour the purity
+    contract: the enabled *set* is identical, and declared guards never
+    draw from the RNG, so the random-choice stream is unchanged.
     """
 
     def __init__(
@@ -274,51 +243,38 @@ class RandomFairDaemon(_IncrementalMixin):
         self.incremental = incremental
         self.backend = _check_backend(backend)
 
-    def _step_compiled(self, compiled: CompiledProgram, state):
-        compiled.refresh(state, self.rng)
-        slots = compiled.enabled_slots()
+    def step(self, program: Program, state: State) -> Fired:
+        engine = self._engine_for(program)
+        if engine is not None:
+            return self._step_engine(engine, state)
+        enabled = [a for a in program.actions() if a.enabled(state, self.rng)]
+        if self.tracer.enabled:
+            self.tracer.incr("gc.daemon_steps")
+            self.tracer.incr("gc.enabled_actions", len(enabled))
+        if not enabled:
+            return []
+        action = enabled[int(self.rng.integers(0, len(enabled)))]
+        ups = action.execute(state, self.rng)
+        if self.tracer.enabled:
+            self.tracer.incr("gc.actions_fired")
+        return [(action, ups)]
+
+    def _step_engine(self, engine: EnabledIndex, state: State) -> Fired:
+        engine.refresh(state, self.rng)
+        slots = engine.enabled_slots()
         if self.tracer.enabled:
             self.tracer.incr("gc.daemon_steps")
             self.tracer.incr("gc.enabled_actions", len(slots))
         if not slots:
             return []
         idx = slots[int(self.rng.integers(0, len(slots)))]
-        ups = compiled.execute(idx, state, self.rng)
+        ups = engine.execute(idx, state, self.rng)
         if self.tracer.enabled:
             self.tracer.incr("gc.actions_fired")
-        return [(compiled.actions[idx], ups)]
-
-    def step(self, program, state):
-        if self.backend == "compiled":
-            return self._step_compiled(self._compiled_for(program), state)
-        index = self._index_for(program)
-        slots: list[int] | None = None
-        if index is not None:
-            index.refresh(state, self.rng)
-            slots = index.enabled_slots()
-            actions = index.actions
-            enabled = [actions[i] for i in slots]
-        else:
-            enabled = [a for a in program.actions() if a.enabled(state, self.rng)]
-        if self.tracer.enabled:
-            self.tracer.incr("gc.daemon_steps")
-            self.tracer.incr("gc.enabled_actions", len(enabled))
-        if not enabled:
-            if index is not None:
-                index.commit(state)
-            return []
-        pick = int(self.rng.integers(0, len(enabled)))
-        action = enabled[pick]
-        ups = action.execute(state, self.rng)
-        if index is not None:
-            index.note_fire(slots[pick], ups)
-            index.commit(state)
-        if self.tracer.enabled:
-            self.tracer.incr("gc.actions_fired")
-        return [(action, ups)]
+        return [(engine.actions[idx], ups)]
 
 
-class MaximalParallelDaemon(_IncrementalMixin):
+class MaximalParallelDaemon(_EngineMixin):
     """Synchronous maximal parallelism (the paper's Section 6 semantics).
 
     Per step: snapshot the state; for every process with at least one
@@ -326,10 +282,11 @@ class MaximalParallelDaemon(_IncrementalMixin):
     uniformly when ``random_choice``); evaluate every selected statement
     against the snapshot; apply all updates to the live state.
 
-    Incremental mode evaluates the stale guards against the live
-    pre-step state (identical to the snapshot at that point) and reuses
-    cached flags for the rest; selection and statement evaluation are
-    unchanged, so traces match full evaluation exactly.
+    The engine body (:meth:`EnabledIndex.step_round`) evaluates the
+    stale guards against the live pre-step state (identical to the
+    snapshot at that point) and reuses cached flags for the rest;
+    selection and statement evaluation are unchanged, so traces match
+    full evaluation exactly.
     """
 
     def __init__(
@@ -358,74 +315,24 @@ class MaximalParallelDaemon(_IncrementalMixin):
                 chosen.append(enabled[0])
         return chosen
 
-    def _select_incremental(
-        self, index: EnabledIndex, state: State
-    ) -> list[int]:
-        index.refresh(state, self.rng)
-        pid_of = index.pid_of
-        chosen: list[int] = []
-        # Enabled slots are sorted and actions are grouped by pid in
-        # declaration order, so consecutive runs of equal pid reproduce
-        # the per-process iteration of :meth:`select` exactly.
-        group: list[int] = []
-        cur_pid = -1
-        for i in index.enabled_slots():
-            pid = pid_of[i]
-            if pid != cur_pid:
-                if group:
-                    chosen.append(self._pick_idx(group))
-                group = []
-                cur_pid = pid
-            group.append(i)
-        if group:
-            chosen.append(self._pick_idx(group))
-        return chosen
-
-    def _step_compiled(self, compiled: CompiledProgram, state):
-        """One synchronous round: select per process, evaluate every
-        chosen statement against the pre-apply state, then apply --
-        the same phase order (and RNG order) as the interpreter.
-        Delegated to the engine's round memo, which replays whole
-        draw-free rounds off one dict lookup."""
-        actions = compiled.actions
-        fired = [
-            (actions[i], ups)
-            for i, ups in compiled.step_round(
-                state, self.rng, self.random_choice
-            )
-        ]
-        if self.tracer.enabled:
-            self.tracer.incr("gc.daemon_steps")
-            self.tracer.incr("gc.actions_fired", len(fired))
-        return fired
-
-    def _pick_idx(self, group: list[int]) -> int:
-        if self.random_choice and len(group) > 1:
-            return group[int(self.rng.integers(0, len(group)))]
-        return group[0]
-
-    def step(self, program, state):
-        if self.backend == "compiled":
-            return self._step_compiled(self._compiled_for(program), state)
-        index = self._index_for(program)
-        if index is not None:
-            chosen_idx = self._select_incremental(index, state)
-            snapshot = state.snapshot() if chosen_idx else state
-            chosen = [index.actions[i] for i in chosen_idx]
+    def step(self, program: Program, state: State) -> Fired:
+        engine = self._engine_for(program)
+        if engine is not None:
+            actions = engine.actions
+            fired = [
+                (actions[i], ups)
+                for i, ups in engine.step_round(
+                    state, self.rng, self.random_choice
+                )
+            ]
         else:
             snapshot = state.snapshot()
-            chosen_idx = []
-            chosen = self.select(program, snapshot)
-        fired: list[tuple[Action, list[tuple[str, Any]]]] = []
-        for action in chosen:
-            ups = action.updates(snapshot, self.rng)
-            fired.append((action, ups))
-        for pos, (action, ups) in enumerate(fired):
-            apply_updates(state, action.pid, ups)
-            if index is not None:
-                index.note_fire(chosen_idx[pos], ups)
-        if index is not None:
-            index.commit(state)
+            fired = [
+                (action, action.updates(snapshot, self.rng))
+                for action in self.select(program, snapshot)
+            ]
+            for action, ups in fired:
+                apply_updates(state, action.pid, ups)
         if self.tracer.enabled:
             self.tracer.incr("gc.daemon_steps")
             self.tracer.incr("gc.actions_fired", len(fired))

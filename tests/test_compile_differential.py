@@ -20,7 +20,7 @@ before the assertion propagates.  Hypothesis replays the *shrunk*
 example last (when it reports the falsifying example), so the file left
 on disk is the minimal reproducer; ``test_replay_saved_reproducers``
 picks such files up on later runs so a saved failure keeps failing until
-the bug is fixed.  See API.md ("Compiled backend") for how to read one.
+the bug is fixed.  See API.md ("The step engine") for how to read one.
 
 Together with the conformance matrix this provides the >=200 generated
 differential cases the compiler's acceptance criteria demand.

@@ -21,7 +21,7 @@ from repro.gc.compile import (
 )
 from repro.gc.domains import IntRange
 from repro.gc.program import Process, Program, VariableDecl
-from repro.gc.scheduler import MaximalParallelDaemon
+from repro.gc.scheduler import MaximalParallelDaemon, RandomFairDaemon
 from repro.gc.state import State
 
 
@@ -141,6 +141,65 @@ class TestStateCodec:
             [Process(0, ())],
         )
         assert not StateCodec(prog).internable("n")
+
+    def test_oversized_domain_is_sized_not_iterated(self):
+        class Sized:
+            """What ``values()`` returns: a length, and no iteration."""
+
+            def __len__(self):
+                return MAX_DOMAIN_SIZE + 1
+
+            def __iter__(self):
+                raise AssertionError("oversized domain was enumerated")
+
+        class SpyDomain(IntRange):
+            def values(self):
+                return Sized()
+
+        prog = Program(
+            "spy",
+            [VariableDecl("n", SpyDomain(0, MAX_DOMAIN_SIZE), 0)],
+            [Process(0, ())],
+        )
+        assert not StateCodec(prog).internable("n")
+
+    def test_unsized_values_are_still_interned(self):
+        class GeneratedDomain(IntRange):
+            def values(self):
+                return iter(range(self.lo, self.hi + 1))
+
+        prog = Program(
+            "gen",
+            [VariableDecl("n", GeneratedDomain(0, 3), 0)],
+            [Process(0, ())],
+        )
+        codec = StateCodec(prog)
+        assert codec.internable("n")
+        cells = codec.new_cells()
+        codec.encode_into(State({"n": [3]}, 1), cells)
+        assert cells == [3]
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"backend": "compiled"}], ids=["default", "compiled"]
+    )
+    def test_huge_domain_program_runs_on_every_engine(self, kwargs):
+        """A billion-value domain costs nothing to build an engine over
+        (the live engine numbers slots, the compiled one leaves the
+        variable uninterned) and the trace is the reference's."""
+        prog = counters(n=3, hi=10**9)
+
+        def trace(daemon):
+            state = prog.initial_state()
+            out = []
+            for _ in range(50):
+                out.append(
+                    [(a.name, a.pid, ups) for a, ups in daemon.step(prog, state)]
+                )
+            return out, state.key()
+
+        assert trace(RandomFairDaemon(seed=4, **kwargs)) == trace(
+            RandomFairDaemon(seed=4, incremental=False)
+        )
 
 
 # ----------------------------------------------------------------------

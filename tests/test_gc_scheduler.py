@@ -1,11 +1,19 @@
 """Unit tests for the daemons (repro.gc.scheduler)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from repro.barrier.mb import make_mb
+from repro.barrier.rb import make_rb
 from repro.gc.actions import Action
+from repro.gc.compile import CompiledProgram
 from repro.gc.domains import IntRange
+from repro.gc.incremental import EnabledIndex
 from repro.gc.program import Process, Program, VariableDecl
 from repro.gc.scheduler import (
+    ROUND_ROBIN_ADAPT_WINDOW,
     MaximalParallelDaemon,
     RandomFairDaemon,
     RoundRobinDaemon,
@@ -160,3 +168,164 @@ def test_enabled_actions_helper():
     state = State({"x": [1, 0]}, 2)
     names = [(a.name, a.pid) for a in enabled_actions(prog, state)]
     assert names == [("INC", 1)]
+
+
+# ----------------------------------------------------------------------
+# One step engine: the shape, and the behaviours the merge must not move
+# ----------------------------------------------------------------------
+GC_SRC = Path(__file__).resolve().parent.parent / "src" / "repro" / "gc"
+
+
+def _functions(tree):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_one_step_engine():
+    """The flag protocol and the selection grouper exist once under
+    ``repro/gc``; the daemons fork on an engine, never on a backend."""
+    owners: dict[str, list[str]] = {}
+    for path in sorted(GC_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        owners.setdefault(item.name, []).append(node.name)
+    for name in (
+        "refresh", "mark_stale", "is_enabled", "enabled_slots", "select_round"
+    ):
+        assert owners.get(name) == ["EnabledIndex"], (name, owners.get(name))
+    assert EnabledIndex in CompiledProgram.__mro__
+
+    tree = ast.parse((GC_SRC / "scheduler.py").read_text())
+    names = {fn.name for fn in _functions(tree)}
+    assert not names & {
+        "_step_compiled", "_step_incremental", "_select_incremental"
+    }
+    comparing = [
+        fn.name
+        for fn in _functions(tree)
+        if any(
+            isinstance(node, ast.Compare)
+            and any(
+                isinstance(side, ast.Constant) and side.value == "compiled"
+                for side in [node.left, *node.comparators]
+            )
+            for node in ast.walk(fn)
+        )
+    ]
+    assert len(comparing) == 1, comparing
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("repro.gc.compile", "repro.gc.incremental")
+        for alias in node.names
+    }
+    assert imported == {"CompiledProgram", "EnabledIndex"}
+
+
+def test_engines_have_no_instance_dict():
+    """``__slots__`` keeps the engines off CPython's 30-attribute
+    key-sharing cliff (DESIGN.md, "gc: one step engine")."""
+    program = make_mb(4)
+    for engine in (EnabledIndex(program), CompiledProgram(program)):
+        assert not hasattr(engine, "__dict__"), type(engine).__name__
+
+
+def heartbeat(hb_writes, hb_updates=True):
+    """HB at pid 0 rewrites ``x[0]`` with its current value (or reports
+    no update at all); W at pid 1 watches ``x[0]``, is never enabled,
+    and counts its guard evaluations.  ``hb_writes`` is HB's declared
+    write-set."""
+    evals = []
+
+    def w_guard(view):
+        evals.append(1)
+        return view.of("x", 0) > 0
+
+    hb = Action(
+        "HB", 0,
+        lambda view: view.my("x") >= 0,
+        lambda view: [("x", view.my("x"))] if hb_updates else [],
+        reads=frozenset({("x", 0)}), writes=hb_writes,
+    )
+    w = Action(
+        "W", 1, w_guard, lambda view: [],
+        reads=frozenset({("x", 0)}), writes=frozenset(),
+    )
+    program = Program(
+        "heartbeat",
+        [VariableDecl("x", IntRange(0, 3), 0)],
+        [Process(0, (hb,)), Process(1, (w,))],
+    )
+    return program, evals
+
+
+@pytest.mark.parametrize(
+    "hb_writes, hb_updates, per_fire",
+    [
+        # A declared-empty write-set is a promise: firing HB dirties
+        # nothing, so its watcher is never re-evaluated.
+        (frozenset(), True, 0),
+        # Undeclared: the update list actually applied is the dirty set.
+        (None, True, 1),
+        # A declared write-set wins over the update list, even an empty
+        # one.
+        (frozenset({"x"}), False, 1),
+    ],
+)
+def test_declared_writes_steer_the_live_engine(hb_writes, hb_updates, per_fire):
+    program, evals = heartbeat(hb_writes, hb_updates)
+    state = program.initial_state()
+    daemon = RandomFairDaemon(seed=0)
+    assert [a.name for a, _ups in daemon.step(program, state)] == ["HB"]
+    base = len(evals)
+    for _ in range(5):
+        assert [a.name for a, _ups in daemon.step(program, state)] == ["HB"]
+    # W's guard runs at the start of the step *after* each fire.
+    assert len(evals) - base == 5 * per_fire
+
+
+def test_roundrobin_reprobes_per_program():
+    """One daemon, two programs: the adaptation restarts -- engaged on MB
+    (~16 evaluations per scan), then declined on the RB ring (~1)."""
+    daemon = RoundRobinDaemon()
+    for make, engaged in ((make_mb, True), (make_rb, False)):
+        program = make(6)
+        state = program.initial_state()
+        for _ in range(ROUND_ROBIN_ADAPT_WINDOW * 2):
+            daemon.step(program, state)
+        assert daemon._engaged is engaged, program.name
+
+
+def test_maxpar_reference_draw_order_is_pinned():
+    """Undeclared guards that draw from the RNG: the plain body draws
+    per process, guards then pick -- the reference order the oracle
+    compares everything else against, as a fixed-seed golden trace."""
+    actions = lambda pid: tuple(  # noqa: E731
+        Action(
+            name, pid,
+            guard=lambda v: v.choose([True, False, True]),
+            statement=lambda v, _d=delta: [("x", (v.my("x") + _d) % 10)],
+        )
+        for name, delta in (("UP", 1), ("DOWN", 9))
+    )
+    program = Program(
+        "coins",
+        [VariableDecl("x", IntRange(0, 9), 0)],
+        [Process(pid, actions(pid)) for pid in range(3)],
+    )
+    state = program.initial_state()
+    daemon = MaximalParallelDaemon(seed=11, random_choice=True, incremental=False)
+    trace = [
+        "".join(f"{a.name[0]}{a.pid}" for a, _ups in daemon.step(program, state))
+        for _ in range(8)
+    ]
+    assert trace == [
+        "D0D2", "U0U1U2", "U0D1U2", "U0U1", "D0U1D2", "D1D2", "U0U1U2", "U0U1D2",
+    ]
+    assert state.vector("x") == (3, 3, 9)

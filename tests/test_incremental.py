@@ -154,8 +154,10 @@ def test_roundrobin_adapts_on_mb_only():
     assert not daemon._engaged
 
 
-def test_undeclared_actions_fall_back():
-    """A program with no declared read-sets gets no index at all."""
+def test_undeclared_actions_fall_back(monkeypatch):
+    """A program with no declared read-sets gets no engine at all: the
+    daemons run their plain body (no flag-protocol call is ever made)
+    and the trace is that of ``incremental=False``."""
     from dataclasses import replace
 
     from repro.gc.program import Process, Program
@@ -179,11 +181,17 @@ def test_undeclared_actions_fall_back():
         initial_state=lambda p: make_cb(3).initial_state(),
         metadata=program.metadata,
     )
-    daemon = RandomFairDaemon(seed=2, incremental=True)
-    state = stripped.initial_state()
-    for _ in range(50):
-        daemon.step(stripped, state)
-    assert daemon._index is not None and not daemon._index.has_tracked
+
+    def flags_touched(self, *args, **kwargs):
+        raise AssertionError("flag cache used for a program declaring nothing")
+
+    monkeypatch.setattr(EnabledIndex, "refresh", flags_touched)
+    monkeypatch.setattr(EnabledIndex, "mark_stale", flags_touched)
+    for daemon_name in sorted(DAEMONS):
+        make_daemon = DAEMONS[daemon_name]
+        full = _trace(lambda: stripped, make_daemon(2, False), steps=50)
+        incr = _trace(lambda: stripped, make_daemon(2, True), steps=50)
+        assert full == incr
 
 
 def _heartbeat_program(hb_writes):

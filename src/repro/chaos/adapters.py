@@ -611,8 +611,10 @@ class NetMBAdapter(NetAdapter):
 class NetTreeShardedAdapter(NetTreeAdapter):
     """The tree barrier on the process-per-shard runtime under chaos --
     same plans, same monitors, the coordinator/merge path as target.
-    Spawn cost makes each run seconds, not milliseconds; campaigns
-    should point at it with a small ``--runs`` budget."""
+    Booting two worker processes makes each run hundreds of
+    milliseconds, not a few; campaigns should point at it with a small
+    ``--runs`` budget (``--jobs`` may spread it: the workers are plain
+    children, which a pool worker may start)."""
 
     name = "net:tree+sharded"
     shards = 2

@@ -33,7 +33,10 @@ record appends to a per-link buffer that flushes on a size boundary
 so a wave of hundreds of messages leaves in a handful of syscalls.
 
 This module owns *where* nodes run -- partitioning, the cross-shard
-fabric, and process hosting (spawn, address handshake, result pipes).
+fabric, and process hosting: each worker is a direct child running
+:data:`_BOOTSTRAP`, its own small program, over one inherited socketpair
+(``sys.path`` and :class:`ShardSpec` in, ``address`` -> ``go`` ->
+``result`` | ``error`` across); DESIGN.md, "net: shard worker boot".
 What a run *is* stays in :mod:`repro.net.runtime`: each worker runs its
 share of the nodes through the runtime's ``_run_group`` and the
 coordinator folds the shipped reports with its ``_assemble``, exactly
@@ -49,7 +52,7 @@ guarantee survives sharding:
 * **Telemetry** -- each worker runs a
   :class:`~repro.obs.recorder.FlightRecorder` per node with
   ``protocol_log=True`` and ships the O(rounds) protocol events back
-  over the result pipe; merge, digest and the PR-4 guarantee monitors
+  over its control channel; merge, digest and the PR-4 guarantee monitors
   then run on them as on any other streams (event times are Lamport
   stamps, so cross-process merge order is exact, not
   wall-clock-approximate).
@@ -61,8 +64,11 @@ guarantee survives sharding:
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
+import signal
+import socket
+import subprocess
+import sys
 import tempfile
 import time as _time
 import traceback
@@ -365,7 +371,8 @@ class ShardTransport(MemTransport):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything one worker needs, picklable for ``spawn``."""
+    """Everything one worker needs, picklable: it crosses the control
+    channel as the worker's second message."""
 
     shard_id: int
     partition: tuple[int, ...]
@@ -373,8 +380,26 @@ class ShardSpec:
     unix_path: str | None
 
 
+#: The whole program of a worker process (``python -c``), whoever the
+#: coordinator's ``__main__`` is.  It imports nothing of ``repro`` before
+#: the coordinator's ``sys.path`` is installed (a launcher may have put
+#: ``src/`` there in-process), and prints nothing (fd 1 is inherited and
+#: may be the launcher's data channel).  ``-c`` rather than ``-m
+#: repro.net.shard``: run as ``__main__`` this module would be loaded a
+#: second time to unpickle :class:`ShardSpec`.
+_BOOTSTRAP = """\
+import sys, multiprocessing.connection
+conn = multiprocessing.connection.Connection(int(sys.argv[1]))
+sys.path[:] = conn.recv()
+from repro.net.shard import _worker_main
+_worker_main(conn.recv(), conn)
+"""
+
+
 def _worker_main(spec: ShardSpec, conn: Any) -> None:
-    """Process entry point (top-level for the spawn pickler)."""
+    """What :data:`_BOOTSTRAP` runs: the shard, then ``result`` or
+    ``error`` to the coordinator.  Any failure -- the coordinator having
+    gone away included -- ends the process with a non-zero status."""
     try:
         payload = asyncio.run(_worker_async(spec, conn))
         conn.send(("result", payload))
@@ -382,7 +407,8 @@ def _worker_main(spec: ShardSpec, conn: Any) -> None:
         try:
             conn.send(("error", traceback.format_exc()))
         except (OSError, ValueError):
-            pass
+            pass  # nobody left to tell
+        sys.exit(1)
     finally:
         conn.close()
 
@@ -417,6 +443,16 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
 
         tracers = {pid: NullTracer() for pid in fabric.local_pids}
 
+    # "go" was the coordinator's last word, so the channel turning
+    # readable now is its end closing: stop instead of running on with
+    # nobody to report to (no ``daemon=True`` does this for us).
+    loop, task = asyncio.get_running_loop(), asyncio.current_task()
+
+    def coordinator_gone() -> None:
+        loop.remove_reader(conn.fileno())
+        task.cancel()
+
+    loop.add_reader(conn.fileno(), coordinator_gone)
     try:
         # Epoch-relative wall clock: one timeline for partition windows
         # across every worker (sub-ms skew; windows are seconds-wide).
@@ -424,6 +460,7 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
             config, fabric.transports(), lambda: _time.time() - epoch, tracers
         )
     finally:
+        loop.remove_reader(conn.fileno())
         await fabric.close()
     report["link_stats"] = {**fabric.link_stats(), **report["link_stats"]}
 
@@ -441,14 +478,56 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
+@dataclass
+class _Worker:
+    """The coordinator's handle on one shard: the child process and its
+    end of the control channel."""
+
+    shard_id: int
+    proc: subprocess.Popen
+    conn: Any  # multiprocessing.connection.Connection over a socketpair
+    launched: float  # perf_counter at Popen
+
+
+def _launch(shard_id: int) -> _Worker:
+    """Start one worker as a direct child running :data:`_BOOTSTRAP`.
+
+    The child inherits exactly one descriptor beyond stdout/stderr --
+    its end of a fresh socketpair, closed here at once, so its death
+    reads as EOF and no worker holds a sibling's channel open -- and the
+    coordinator's interpreter flags (``-O``, ``-W``, ``-X``, ``-I``...).
+    ``Connection`` is borrowed as a framing class only: pickling,
+    ``poll`` and payloads of any size (a full-mode protocol log outgrows
+    :data:`~repro.net.frames.MAX_FRAME`) over a plain descriptor.
+    """
+    from multiprocessing.connection import Connection
+
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        launched = _time.perf_counter()
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                *subprocess._args_from_interpreter_flags(),
+                "-c",
+                _BOOTSTRAP,
+                str(theirs.fileno()),
+            ],
+            pass_fds=[theirs.fileno()],
+            stdin=subprocess.DEVNULL,
+        )
+        return _Worker(shard_id, proc, Connection(ours.detach()), launched)
+
+
 def run_sharded(config: Any) -> Any:
     """Run ``config`` across ``config.shards`` worker processes.
 
     Blocking, like :func:`~repro.net.runtime.run_sync` (which dispatches
-    here when ``shards > 1``).  The coordinator spawns workers, brokers
-    the link-address handshake, collects each shard's group report and
-    protocol events, and hands them to the runtime's ``_assemble`` --
-    the same fold that finishes a single-loop run.
+    here when ``shards > 1``).  The coordinator launches one fresh worker
+    per shard, brokers the link-address handshake, collects each shard's
+    group report and protocol events, and hands them to the runtime's
+    ``_assemble`` -- the same fold that finishes a single-loop run.  No
+    worker, and no helper process, outlives the call on any path.
     """
     from repro.net.runtime import _assemble
 
@@ -460,14 +539,11 @@ def run_sharded(config: Any) -> Any:
         config.shard_transport == "auto" and have_af_unix()
     )
 
-    ctx = multiprocessing.get_context("spawn")
     wall_start = _time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="shard-") as sockdir:
-        procs: list[Any] = []
-        conns: list[Any] = []
+        workers: list[_Worker] = []
         try:
             for shard_id in range(shards):
-                parent_conn, child_conn = ctx.Pipe()
                 spec = ShardSpec(
                     shard_id=shard_id,
                     partition=tuple(partition),
@@ -476,26 +552,22 @@ def run_sharded(config: Any) -> Any:
                     if use_unix
                     else None,
                 )
-                proc = ctx.Process(
-                    target=_worker_main, args=(spec, child_conn), daemon=True
-                )
-                proc.start()
-                child_conn.close()
-                procs.append(proc)
-                conns.append(parent_conn)
+                workers.append(_launch(shard_id))
+                _pipe_send(workers[-1], sys.path)
+                _pipe_send(workers[-1], spec)
 
             deadline = _time.monotonic() + STARTUP_GRACE
             addresses: dict[int, str] = {}
-            for conn in conns:
-                msg = _pipe_recv(conn, deadline, "address handshake")
-                if msg[0] == "error":
-                    raise RuntimeError(f"shard worker failed:\n{msg[1]}")
-                _op, shard_id, address = msg
-                addresses[shard_id] = address
+            boot_walls = [0.0] * shards
+            pending = list(workers)
+            while pending:
+                worker, msg = _pipe_recv(pending, deadline, "address handshake")
+                boot_walls[worker.shard_id] = _time.perf_counter() - worker.launched
+                addresses[worker.shard_id] = msg[2]
 
             epoch = _time.time()
-            for conn in conns:
-                conn.send(("go", addresses, epoch))
+            for worker in workers:
+                _pipe_send(worker, ("go", addresses, epoch))
 
             # The run clock starts at "go": grant the workers their
             # protocol deadline plus shipping slack from here.  Slack is
@@ -506,23 +578,23 @@ def run_sharded(config: Any) -> Any:
                 + config.timeout_s
                 + max(STARTUP_GRACE, config.timeout_s)
             )
-            payloads: list[dict[str, Any]] = []
-            for conn in conns:
-                msg = _pipe_recv(conn, deadline, "shard result")
-                if msg[0] == "error":
-                    raise RuntimeError(f"shard worker failed:\n{msg[1]}")
-                payloads.append(msg[1])
+            payloads: list[Any] = [None] * shards
+            pending = list(workers)
+            while pending:
+                worker, msg = _pipe_recv(pending, deadline, "shard result")
+                payloads[worker.shard_id] = msg[1]
         finally:
-            for conn in conns:
+            # Closing the channels is what tells a worker still running
+            # that it is on its own; every child is then reaped, so none
+            # is left a zombie and RUSAGE_CHILDREN describes the run.
+            for worker in workers:
+                worker.conn.close()
+            for worker in workers:
                 try:
-                    conn.close()
-                except OSError:
-                    pass
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
+                    worker.proc.wait(timeout=5.0)
+                except subprocess.TimeoutExpired:
+                    worker.proc.terminate()
+                    worker.proc.wait()
     wall_total = _time.perf_counter() - wall_start
 
     events: dict[int, list] = {}
@@ -532,13 +604,15 @@ def run_sharded(config: Any) -> Any:
         rings.update(payload["rings"])
     reports = [payload["report"] for payload in payloads]
     result = _assemble(config, reports, events)
-    # ``result.wall_s`` is the slowest shard's run phase; what spawning,
-    # importing and shipping cost on top is visible here.
+    # ``result.wall_s`` is the slowest shard's run phase; what launching,
+    # importing and shipping cost on top is visible here, and how much of
+    # it is a worker's boot (Popen -> its ``address``) in ``boot_walls``.
     result.metrics_summary["shards"] = {
         "count": shards,
         "transport": "unix" if use_unix else "tcp",
         "partition_cross_edges": cross_edges(partition, config.protocol, config.arity),
         "shard_walls": [report["wall_s"] for report in reports],
+        "boot_walls": boot_walls,
         "coordinator_wall_s": wall_total,
     }
     if rings:
@@ -546,12 +620,55 @@ def run_sharded(config: Any) -> Any:
     return result
 
 
-def _pipe_recv(conn: Any, deadline: float, what: str) -> Any:
-    """Receive one pipe message before ``deadline`` (monotonic)."""
-    remaining = deadline - _time.monotonic()
-    if remaining <= 0 or not conn.poll(remaining):
-        raise TimeoutError(f"timed out waiting for {what}")
+def _pipe_send(worker: _Worker, obj: Any) -> None:
+    """Send ``obj`` to ``worker``.  One that is already dead is left to
+    the :func:`_pipe_recv` that follows, which says who died and how."""
     try:
-        return conn.recv()
-    except EOFError as exc:
-        raise RuntimeError(f"shard worker died before sending {what}") from exc
+        worker.conn.send(obj)
+    except ConnectionError:
+        pass
+
+
+def _pipe_recv(pending: list[_Worker], deadline: float, what: str) -> tuple[_Worker, Any]:
+    """Receive the next message from any of ``pending`` before
+    ``deadline`` (monotonic) and take its sender off the list.
+
+    Any, not each in turn: a dead worker is reported when it dies, not
+    after its siblings have waited out their timeouts for it.  A worker's
+    ``error`` message is raised here with its traceback.
+    """
+    from multiprocessing.connection import wait
+
+    ready = wait(
+        [worker.conn for worker in pending], max(0.0, deadline - _time.monotonic())
+    )
+    if not ready:
+        waiting = ", ".join(str(worker.shard_id) for worker in pending)
+        raise TimeoutError(f"timed out waiting for {what} from shard {waiting}")
+    worker = next(worker for worker in pending if worker.conn is ready[0])
+    try:
+        msg = worker.conn.recv()
+    except (EOFError, ConnectionError) as exc:
+        raise RuntimeError(
+            f"shard {worker.shard_id} worker {_exit_status(worker.proc)} "
+            f"before sending {what}"
+        ) from exc
+    if msg[0] == "error":
+        raise RuntimeError(f"shard {worker.shard_id} worker failed:\n{msg[1]}")
+    pending.remove(worker)
+    return worker, msg
+
+
+def _exit_status(proc: subprocess.Popen) -> str:
+    """How a worker whose channel hit EOF ended, for the error message."""
+    try:
+        status = proc.wait(timeout=5.0)
+    except subprocess.TimeoutExpired:
+        return "closed its control channel"
+    if status >= 0:
+        return f"exited with status {status}"
+    try:
+        name = signal.Signals(-status).name
+    except ValueError:
+        name = "unknown signal"
+    return f"exited with status {status} ({name})"

@@ -4,7 +4,7 @@ One fresh interpreter per entry point, asserting on **counts, not
 timings**: the heavy third-party packages and the simulation engines
 stay out of ``sys.modules``, the module count stays under a recorded
 ceiling (the eager ``__init__``s loaded ~700 modules for any of these;
-the dependency cones measure 86-194 on CPython 3.11), and running a first job afterwards
+the dependency cones measure 86-196 on CPython 3.11), and running a first job afterwards
 loads no further ``repro.*``/numpy/networkx module -- nothing was merely
 deferred into first use.  See DESIGN.md, "Import layering".
 """
@@ -30,6 +30,18 @@ BANNED = ("numpy", "networkx", "repro.experiments", "repro.protosim", "repro.des
 #: ``repro.*`` names above do not apply to it: the adapter registry needs
 #: ``repro.experiments.sweep`` (the campaign pool).
 THIRD_PARTY = ("numpy", "networkx")
+
+#: Single-loop runs pay for no process machinery: the one use of it under
+#: ``repro.net`` (``multiprocessing.connection``, as the shard control
+#: channel's framing) is imported inside the functions that launch workers.
+NET_BANNED = BANNED + ("multiprocessing",)
+
+#: A shard worker runs one group of nodes; it serves nobody, sweeps
+#: nothing and aggregates no metrics.
+WORKER_BANNED = THIRD_PARTY + (
+    "repro.experiments", "repro.serve", "repro.chaos.adapters",
+    "repro.chaos.campaign", "repro.obs.metrics",
+)
 
 #: A 2-barrier 3-node tree job over the memory transport.
 TREE_JOB = """
@@ -75,10 +87,20 @@ for engine in ("gc:mb", "gc:mb+compiled"):
 
 #: name -> (imports, module-count ceiling, first job or None, banned)
 ENTRY_POINTS = {
-    "repro.net": ("from repro.net import NetConfig, run_sync", 255, TREE_JOB, BANNED),
-    # What a spawned shard worker loads to unpickle ``_worker_main``; its
-    # ``ShardSpec`` then brings in ``repro.net.runtime`` (the cone above).
-    "repro.net.shard": ("import repro.net.shard", 245, None, BANNED),
+    "repro.net": (
+        "from repro.net import NetConfig, run_sync", 200, TREE_JOB, NET_BANNED
+    ),
+    "repro.net.shard": ("import repro.net.shard", 185, None, NET_BANNED),
+    # Everything a worker process imports, whoever launched it: the
+    # bootstrap's framing class and ``repro.net.shard``, the ``NetConfig``
+    # its ``ShardSpec`` unpickles to, and what ``_worker_async`` imports.
+    "shard worker": (
+        "from multiprocessing.connection import Connection\n"
+        "import repro.net.shard, repro.net.runtime, repro.obs.recorder",
+        206,
+        None,
+        WORKER_BANNED,
+    ),
     "repro.serve": (
         "import repro.serve.daemon, repro.serve.loadgen",
         235,

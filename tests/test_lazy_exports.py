@@ -124,7 +124,8 @@ def test_submodules_resolve_as_attributes_in_a_fresh_interpreter():
 
 
 def test_shard_worker_entry_pickles_by_reference():
-    # What a ``spawn`` child does to find its entry point.
+    # What a worker's bootstrap does: import the entry point by name,
+    # unpickle the config off the control channel.
     import repro.net.shard
 
     entry = repro.net.shard._worker_main

@@ -13,13 +13,24 @@ The load-bearing claims, in test form:
 * the batching codec (``append_frame`` + ``pack_record``) survives
   arbitrary re-chunking of a coalesced stream, and receiver-side dedup
   stays exactly-once when duplicates of one identity arrive via
-  different shards and across incarnation bumps.
+  different shards and across incarnation bumps;
+* a worker boots as its own program: whatever the launcher's
+  ``__main__`` is (stdin, an unguarded script, a pool worker), it is not
+  run again; a dead worker is reported with who and how, and on every
+  path no child outlives -- or is left un-reaped by -- the run.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -346,3 +357,203 @@ def test_cli_net_run_sharded(capsys):
     assert "RESULT: PASS" in out
     assert "digest=" in out
     assert "xshard_records" in out
+
+
+# ----------------------------------------------------------------------
+# Worker boot: the launcher's __main__ is none of a worker's business
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The job of the boot and failure probes, run in child interpreters.
+SMALL = dict(nodes=8, barriers=3, transport="mem", shards=2, timeout_s=60.0)
+
+PROGRAM = """
+from repro.net import NetConfig, run_sync
+{guard}print("digest", run_sync(NetConfig(**{config!r})).digest)
+"""
+
+
+def _python(*args, **kwargs):
+    """Run a child interpreter that finds ``repro`` and nothing else of ours."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120, **kwargs,
+    )
+
+
+@pytest.fixture(scope="module")
+def single_loop_digest():
+    return run_sync(NetConfig(**{**SMALL, "shards": 1})).digest
+
+
+def test_sharded_run_from_a_program_on_stdin(single_loop_digest):
+    """``python - <<EOF``: there is no file a worker could run again."""
+    proc = _python("-", input=PROGRAM.format(guard="", config=SMALL))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["digest", single_loop_digest]
+
+
+@pytest.mark.parametrize(
+    "guard", ["", 'if __name__ == "__main__":\n    '], ids=["unguarded", "guarded"]
+)
+def test_sharded_run_does_not_rerun_its_launcher(tmp_path, single_loop_digest, guard):
+    """A script -- with or without a ``__main__`` guard -- is executed
+    once: its module body leaves one line, not one per process."""
+    log = tmp_path / "executed.log"
+    script = tmp_path / "launcher.py"
+    script.write_text(
+        f"open({str(log)!r}, 'a').write('module body\\n')\n"
+        + PROGRAM.format(guard=guard, config=SMALL)
+    )
+    proc = _python(str(script))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["digest", single_loop_digest]
+    assert log.read_text() == "module body\n"
+
+
+def test_sharded_target_runs_inside_a_pool():
+    """Pool workers are daemonic and may not start ``multiprocessing``
+    children; a shard worker is not one.  Same campaign, same outcomes."""
+    from repro.chaos.campaign import run_campaign
+    from repro.experiments.sweep import SweepExecutor
+
+    cfg = CampaignConfig(
+        targets=("net:tree+sharded",), runs=2, seed=3, nprocs=4,
+        target_phases=3, detectable=1, shrink=False,
+    )
+    pooled = run_campaign(cfg, executor=SweepExecutor(jobs=2))
+    serial = run_campaign(cfg)
+    assert pooled.ok and not pooled.infrastructure_failures, pooled.render()
+
+    def deterministic(outcome):
+        # Lamport end time and span lengths depend on the interleaving.
+        return {
+            **outcome, "end_time": None, "spans": len(outcome["spans"]),
+        }
+
+    assert [deterministic(o) for o in pooled.outcomes] == [
+        deterministic(o) for o in serial.outcomes
+    ]
+
+
+def test_boot_walls_are_reported_per_shard():
+    meta = run_sync(NetConfig(**SMALL)).metrics_summary["shards"]
+    assert set(meta) >= {  # bench/workloads.py reads the old five
+        "count", "transport", "partition_cross_edges", "shard_walls",
+        "boot_walls", "coordinator_wall_s",
+    }
+    assert len(meta["boot_walls"]) == len(meta["shard_walls"]) == meta["count"] == 2
+    for boot in meta["boot_walls"]:
+        assert isinstance(boot, float) and 0.0 < boot <= meta["coordinator_wall_s"]
+
+
+# ----------------------------------------------------------------------
+# Failure paths: who died, how, and nobody left behind
+# ----------------------------------------------------------------------
+#: Runs ``SMALL`` (argv[2] overrides) with the last shard's worker killed
+#: at the start of the wait named by argv[1] ("" = nobody is killed), then
+#: reports the error, each worker's exit status and whether any child --
+#: running or zombie -- is left.
+FAILURE_PROBE = """
+import json, os, signal, sys, time
+from repro.net import NetConfig, run_sync, shard
+
+kill_at, overrides = sys.argv[1], json.loads(sys.argv[2])
+workers = []
+real_recv = shard._pipe_recv
+
+def recv(pending, deadline, what):
+    if not workers:
+        workers.extend(pending)
+    if what == kill_at and workers[-1].proc.poll() is None:
+        workers[-1].proc.send_signal(signal.SIGKILL)
+    return real_recv(pending, deadline, what)
+
+shard._pipe_recv = recv
+started = time.monotonic()
+try:
+    run_sync(NetConfig(**{**%r, **overrides}))
+    error = None
+except RuntimeError as exc:
+    error = str(exc)
+elapsed = time.monotonic() - started
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children_left = True
+except ChildProcessError:
+    children_left = False
+print(json.dumps({
+    "error": error, "elapsed": elapsed, "children_left": children_left,
+    "statuses": [w.proc.returncode for w in workers],
+}))
+""" % (SMALL,)
+
+
+def _failure_probe(kill_at="", **overrides):
+    proc = _python("-c", FAILURE_PROBE, kill_at, json.dumps(overrides))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_clean_run_leaves_no_process_behind():
+    seen = _failure_probe()
+    assert seen["error"] is None
+    assert seen["statuses"] == [0, 0]
+    assert not seen["children_left"]  # no worker, tracker or fork server
+
+
+@pytest.mark.parametrize("what", ["address handshake", "shard result"])
+def test_killed_worker_is_named_with_its_signal(what):
+    """SIGKILL before the handshake and between ``go`` and ``result``:
+    the error says which shard and how, long before ``timeout_s``; the
+    sibling sees its channel close and leaves by itself (status 1, not
+    the -15 of the coordinator's last-resort ``terminate``)."""
+    seen = _failure_probe(what)
+    assert seen["error"] == (
+        f"shard 1 worker exited with status -9 (SIGKILL) before sending {what}"
+    )
+    assert seen["statuses"] == [1, -9]
+    assert seen["elapsed"] < 0.5 * SMALL["timeout_s"]
+    assert not seen["children_left"]
+
+
+def test_worker_exception_arrives_with_its_traceback(tmp_path):
+    """A worker that raises ships the traceback; the coordinator raises
+    it under the shard's name and still reaps everyone."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    seen = _failure_probe(trace_dir=str(blocker / "traces"))
+    assert seen["error"].startswith("shard ")
+    assert "worker failed:\nTraceback (most recent call last)" in seen["error"]
+    assert "_worker_async" in seen["error"]
+    assert "NotADirectoryError" in seen["error"]
+    assert seen["statuses"] == [1, 1]
+    assert not seen["children_left"]
+
+
+def test_control_channel_carries_more_than_a_wire_frame():
+    """A full-mode shard's pickled protocol log outgrows the wire codec's
+    1 MiB ``MAX_FRAME`` (a limit against hostile peers, which a worker is
+    not): 3 MiB cross the socketpair whole, read against a deadline."""
+    from multiprocessing.connection import Connection
+
+    from repro.net.frames import MAX_FRAME
+    from repro.net.shard import _pipe_recv, _Worker
+
+    ours, theirs = socket.socketpair()
+    worker = _Worker(0, None, Connection(ours.detach()), 0.0)
+    peer = Connection(theirs.detach())
+    message = ("result", {"events": os.urandom(3 * MAX_FRAME)})
+    sender = threading.Thread(target=peer.send, args=(message,))
+    sender.start()
+    pending = [worker]
+    assert _pipe_recv(pending, time.monotonic() + 30.0, "shard result") == (
+        worker, message,
+    )
+    sender.join()
+    assert pending == []
+    with pytest.raises(TimeoutError, match="shard result from shard 0"):
+        _pipe_recv([worker], time.monotonic() + 0.05, "shard result")
+    peer.close()
+    worker.conn.close()

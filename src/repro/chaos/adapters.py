@@ -1,28 +1,34 @@
 """Engine adapters: one :class:`FaultPlan`, four execution backends.
 
-Each adapter knows how to aim a plan at its engine's existing injection
-machinery -- :class:`repro.gc.faults.PlanInjector` for the untimed
-guarded-command runs, ``schedule_fault``/``schedule_scramble`` for the
-timed tree barrier, ``Runtime.schedule_fault`` for the simulated-MPI
-collectives, and per-rank ``fault_plan`` times plus network
+A chaos target is a *row*: an :class:`Adapter` holding what a campaign
+needs to know about it (how ``when`` is read, the strike window, which
+fault classes it can express), the function that runs its engine family
+and that family's options.  Each family function knows how to aim a plan
+at its engine's existing injection machinery --
+:class:`repro.gc.faults.PlanInjector` for the untimed guarded-command
+runs, ``schedule_fault``/``schedule_scramble`` for the timed tree
+barrier, ``Runtime.schedule_fault`` for the simulated-MPI collectives,
+per-rank ``fault_plan`` times plus network
 :class:`~repro.des.network.LinkFaults` for the message-passing MB over
-the discrete-event kernel -- and how to interpret ``when`` (daemon steps
-vs. virtual time, declared via :attr:`Adapter.steps` and
+the discrete-event kernel, and crash-restarts plus transport faults for
+the asyncio runtime -- and how to interpret ``when`` (daemon steps vs.
+virtual time, declared via :attr:`Adapter.steps` and
 :attr:`Adapter.window` so campaigns generate strike times that actually
 land inside the run).
 
-Every adapter run wires the guarantee monitors *online* (subscribed to
-the tracer before the engine starts) and returns a uniform
-:class:`RunOutcome`.  Capabilities differ -- the collective engine only
-models detectable resets, the network layer only exists under the DES
-targets -- and are declared (:attr:`supports_undetectable`,
-:attr:`supports_link`) so campaign generation never asks an engine for a
-fault class it cannot express.
+Every simulated run goes through :func:`_monitored`, which wires the
+guarantee monitors *online* (subscribed to the tracer before the engine
+starts) and returns a uniform :class:`RunOutcome`.  Capabilities differ
+-- the collective engine only models detectable resets, the network
+layer only exists under the DES and net targets -- and are declared
+(:attr:`supports_undetectable`, :attr:`supports_link`) so campaign
+generation never asks an engine for a fault class it cannot express.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.chaos.monitors import GuaranteeViolation, MonitorSet, monitors_for
@@ -64,147 +70,135 @@ class RunOutcome:
         }
 
 
-def _collect(
-    target: str,
+@dataclass(frozen=True)
+class Adapter:
+    """One chaos target: campaign-facing metadata, the engine family's
+    run function, and the family options that tell its targets apart."""
+
+    name: str
+    #: The engine family: ``runner(adapter, plan, cfg) -> RunOutcome``.
+    runner: Callable[[Adapter, FaultPlan, CampaignConfig], RunOutcome]
+    #: ``when`` is a daemon step (floored) rather than virtual time.
+    steps: bool = False
+    #: The [start, stop) window strike times should be drawn from so
+    #: they land inside a default-config run on this engine.
+    window: tuple[float, float] = (1.0, 30.0)
+    supports_undetectable: bool = False
+    supports_link: bool = False
+    #: Section 7 uncorrectable classes: Byzantine lie mode / permanent
+    #: fail-stop.  Campaigns downgrade these fault counts to the closest
+    #: expressible class on adapters that leave them False.
+    supports_byzantine: bool = False
+    supports_permanent: bool = False
+    #: gc: ``(nprocs, nphases) -> (program, {event kind or class ->
+    #: FaultSpec})``; imports its barrier module when called, so a run
+    #: loads only the program it names.
+    program: Callable[[int, int], tuple[Any, dict[str, Any]]] | None = None
+    #: gc: the daemon's step path (``"interpreter"`` or ``"compiled"``).
+    backend: str = "interpreter"
+    #: net: the node protocol (``"tree"`` or ``"mb"``).
+    protocol: str = "tree"
+    #: net, des: MB machine phase-counter wrap for the masking monitor
+    #: (None => unbounded tree rounds).
+    nphases: int | None = None
+    #: net: worker processes; >1 exercises the sharded runtime
+    #: (:mod:`repro.net.shard`) as a chaos target.
+    shards: int = 1
+    #: net: the defensive frame layer (strict decode, validation,
+    #: strikes, fail-safe degradation); ``False`` is the intolerant
+    #: control.
+    defense: bool = True
+    #: net: wall-clock budget per run; generous next to the ~1s typical
+    #: run.
+    timeout_s: float = 30.0
+
+    def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
+        return self.runner(self, plan, cfg)
+
+
+def _successes(tracer: Tracer) -> int:
+    return sum(
+        1 for e in tracer.events if e.kind == "phase_end" and e.data.get("success")
+    )
+
+
+def _monitored(
+    adapter: Adapter,
     plan: FaultPlan,
-    monitor_set: MonitorSet,
-    tracer: Tracer,
-    reached: bool,
-    end_time: float,
+    nphases: int | None,
+    body: Callable[[Tracer], tuple[bool, float]],
 ) -> RunOutcome:
+    """Run ``body(tracer) -> (reached, end_time)`` under the plan's
+    monitor battery, subscribed before the engine emits anything."""
+    tracer = Tracer()
+    monitor_set = MonitorSet(tracer, monitors_for(plan, nphases))
+    reached, end_time = body(tracer)
     monitor_set.finish(reached, end_time)
-    counters = tracer.counters
-    successful = int(counters.get("obs.phases_successful", 0))
-    if not successful:
-        successful = sum(
-            1
-            for e in tracer.events
-            if e.kind == "phase_end" and e.data.get("success")
-        )
-    faults = sum(1 for e in tracer.events if e.kind == "fault")
     return RunOutcome(
-        target=target,
+        target=adapter.name,
         plan=plan,
         reached=reached,
         end_time=end_time,
-        faults_fired=faults,
-        successful_phases=successful,
+        faults_fired=sum(1 for e in tracer.events if e.kind == "fault"),
+        successful_phases=int(tracer.counters.get("obs.phases_successful", 0))
+        or _successes(tracer),
         violations=monitor_set.violations,
         spans=monitor_set.spans,
         events=tuple(tracer.events),
     )
 
 
-class Adapter:
-    """Base: campaign-facing metadata plus the ``run`` entry point."""
+def _link_faults(plan: FaultPlan):
+    """The plan's link rates in the DES network's vocabulary."""
+    if plan.link is None or not plan.link.any:
+        return None
+    from repro.des.network import LinkFaults
 
-    name = "abstract"
-    #: ``when`` is a daemon step (floored) rather than virtual time.
-    steps = False
-    #: The [start, stop) window strike times should be drawn from so
-    #: they land inside a default-config run on this engine.
-    window: tuple[float, float] = (1.0, 30.0)
-    supports_undetectable = False
-    supports_link = False
-    #: Section 7 uncorrectable classes: Byzantine lie mode / permanent
-    #: fail-stop.  Campaigns downgrade these fault counts to the closest
-    #: expressible class on adapters that leave them False.
-    supports_byzantine = False
-    supports_permanent = False
-
-    def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
-        raise NotImplementedError
+    return LinkFaults(
+        loss=plan.link.loss,
+        duplication=plan.link.duplication,
+        corruption=plan.link.corruption,
+    )
 
 
 # ----------------------------------------------------------------------
 # Untimed guarded-command engine (CB / RB / RB-tree / MB / intolerant)
 # ----------------------------------------------------------------------
-class GCAdapter(Adapter):
+def _run_gc(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
     """One of the paper's barrier programs under the daemon simulator.
 
     The plan becomes a :class:`PlanInjector` schedule: each event maps
-    to the program's own detectable or undetectable :class:`FaultSpec`,
-    so mixed-class schedules replay in a single run.
+    to the spec its row registers for the event's kind, else to the
+    program's own detectable or undetectable :class:`FaultSpec`, so
+    mixed-class schedules replay in a single run.
 
-    ``backend="compiled"`` registers the same program under the
-    compiled step path (:mod:`repro.gc.compile`) as ``gc:<key>+compiled``,
-    so campaigns exercise both executors -- the chaos workload doubles
-    as a soak test of the compiler's fault-resync path.
+    ``backend="compiled"`` runs the same program under the compiled step
+    path (:mod:`repro.gc.compile`) as ``gc:<key>+compiled``, so campaigns
+    exercise both executors -- the chaos workload doubles as a soak test
+    of the compiler's fault-resync path.
     """
+    from repro.gc.faults import PlanInjector
+    from repro.gc.scheduler import RoundRobinDaemon
+    from repro.gc.simulator import Simulator
 
-    steps = True
-    supports_undetectable = True
-
-    def __init__(self, program_key: str, backend: str = "interpreter") -> None:
-        self.program_key = program_key
-        self.backend = backend
-        suffix = "+compiled" if backend == "compiled" else ""
-        self.name = f"gc:{program_key}{suffix}"
-
-    # program_key -> (program factory, detectable spec, undetectable spec)
-    @staticmethod
-    def _families() -> dict[str, tuple[Callable, Callable, Callable]]:
-        from repro.barrier.cb import (
-            cb_detectable_fault,
-            cb_undetectable_fault,
-            make_cb,
+    program, specs = adapter.program(plan.nprocs, cfg.nphases)
+    schedule = [
+        (
+            int(e.when),
+            e.pid,
+            specs.get(e.kind)
+            or specs["detectable" if e.detectable else "undetectable"],
         )
-        from repro.barrier.mb import (
-            make_mb,
-            mb_detectable_fault,
-            mb_undetectable_fault,
-        )
-        from repro.barrier.rb import (
-            make_rb,
-            rb_detectable_fault,
-            rb_undetectable_fault,
-        )
-        from repro.barrier.trees import make_rb_tree
+        for e in plan.events
+    ]
 
-        return {
-            "cb": (
-                lambda n, p: make_cb(n, p),
-                cb_detectable_fault,
-                cb_undetectable_fault,
-            ),
-            "rb-ring": (
-                lambda n, p: make_rb(n, nphases=p),
-                rb_detectable_fault,
-                rb_undetectable_fault,
-            ),
-            "rb-tree": (
-                lambda n, p: make_rb_tree(n, arity=2, nphases=p),
-                rb_detectable_fault,
-                rb_undetectable_fault,
-            ),
-        }
-
-    def _build(self, plan: FaultPlan, cfg: CampaignConfig):
-        families = self._families()
-        factory, detectable, undetectable = families[self.program_key]
-        program = factory(plan.nprocs, cfg.nphases)
-        det_spec, undet_spec = detectable(), undetectable()
-        schedule = [
-            (int(e.when), e.pid, det_spec if e.detectable else undet_spec)
-            for e in plan.events
-        ]
-        return program, schedule
-
-    def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
-        from repro.gc.faults import PlanInjector
-        from repro.gc.scheduler import RoundRobinDaemon
-        from repro.gc.simulator import Simulator
-
-        program, schedule = self._build(plan, cfg)
-        tracer = Tracer()
-        monitor_set = MonitorSet(tracer, monitors_for(plan, cfg.nphases))
-        injector = (
-            PlanInjector(program, schedule, seed=plan.seed) if schedule else None
-        )
+    def body(tracer: Tracer) -> tuple[bool, float]:
         sim = Simulator(
             program,
-            RoundRobinDaemon(backend=self.backend),
-            injector=injector,
+            RoundRobinDaemon(backend=adapter.backend),
+            injector=PlanInjector(program, schedule, seed=plan.seed)
+            if schedule
+            else None,
             # Monitors read the obs tracer; nobody reads result.trace.
             record_trace=False,
             tracer=tracer,
@@ -214,31 +208,58 @@ class GCAdapter(Adapter):
             stop=lambda s, _st: tracer.counters.get("obs.phases_successful", 0)
             >= cfg.target_phases,
         )
-        return _collect(
-            self.name, plan, monitor_set, tracer, result.reached, float(result.steps)
-        )
+        return result.reached, float(result.steps)
+
+    return _monitored(adapter, plan, cfg.nphases, body)
 
 
-class GCMBAdapter(GCAdapter):
+def _cb_specs() -> dict[str, Any]:
+    from repro.barrier.cb import cb_detectable_fault, cb_undetectable_fault
+
+    return {
+        "detectable": cb_detectable_fault(),
+        "undetectable": cb_undetectable_fault(),
+    }
+
+
+def _rb_specs() -> dict[str, Any]:
+    from repro.barrier.rb import rb_detectable_fault, rb_undetectable_fault
+
+    return {
+        "detectable": rb_detectable_fault(),
+        "undetectable": rb_undetectable_fault(),
+    }
+
+
+def _cb(nprocs: int, nphases: int):
+    from repro.barrier.cb import make_cb
+
+    return make_cb(nprocs, nphases), _cb_specs()
+
+
+def _rb_ring(nprocs: int, nphases: int):
+    from repro.barrier.rb import make_rb
+
+    return make_rb(nprocs, nphases=nphases), _rb_specs()
+
+
+def _rb_tree(nprocs: int, nphases: int):
+    from repro.barrier.trees import make_rb_tree
+
+    return make_rb_tree(nprocs, arity=2, nphases=nphases), _rb_specs()
+
+
+def _mb(nprocs: int, nphases: int):
     """MB under the daemon simulator (its own spec pair)."""
+    from repro.barrier.mb import make_mb, mb_detectable_fault, mb_undetectable_fault
 
-    def _build(self, plan: FaultPlan, cfg: CampaignConfig):
-        from repro.barrier.mb import (
-            make_mb,
-            mb_detectable_fault,
-            mb_undetectable_fault,
-        )
-
-        program = make_mb(plan.nprocs, nphases=cfg.nphases)
-        det_spec, undet_spec = mb_detectable_fault(), mb_undetectable_fault()
-        schedule = [
-            (int(e.when), e.pid, det_spec if e.detectable else undet_spec)
-            for e in plan.events
-        ]
-        return program, schedule
+    return make_mb(nprocs, nphases=nphases), {
+        "detectable": mb_detectable_fault(),
+        "undetectable": mb_undetectable_fault(),
+    }
 
 
-class GCIntolerantAdapter(GCAdapter):
+def _intolerant(nprocs: int, nphases: int):
     """The fault-intolerant baseline as the campaigns' positive control.
 
     Its control domain has no error position, so *every* plan event --
@@ -248,21 +269,15 @@ class GCIntolerantAdapter(GCAdapter):
     against this target are expected to report violations; silence here
     means the monitors are blind.
     """
+    from repro.barrier.intolerant import make_intolerant_barrier
+    from repro.gc.faults import FaultSpec
 
-    def __init__(self) -> None:
-        super().__init__("intolerant")
-
-    def _build(self, plan: FaultPlan, cfg: CampaignConfig):
-        from repro.barrier.intolerant import make_intolerant_barrier
-        from repro.gc.faults import FaultSpec
-
-        program = make_intolerant_barrier(plan.nprocs, nphases=max(cfg.nphases, 2))
-        scramble = FaultSpec.undetectable_all(program)
-        schedule = [(int(e.when), e.pid, scramble) for e in plan.events]
-        return program, schedule
+    program = make_intolerant_barrier(nprocs, nphases=max(nphases, 2))
+    scramble = FaultSpec.undetectable_all(program)
+    return program, {"detectable": scramble, "undetectable": scramble}
 
 
-class GCFailSafeAdapter(GCAdapter):
+def _failsafe(nprocs: int, nphases: int):
     """Section 7's fail-safe program as a chaos target: CB extended
     with the ``up`` auxiliary (:func:`repro.extensions.failsafe.
     make_failsafe_cb`), crashes *uncorrectable* -- no repair fault ever
@@ -273,33 +288,13 @@ class GCFailSafeAdapter(GCAdapter):
     the run stops (at most the in-flight phase completes) and never
     wrongly narrates a completion.
     """
+    from repro.extensions.crash import crash_fault
+    from repro.extensions.failsafe import make_failsafe_cb
 
-    supports_permanent = True
-
-    def __init__(self, backend: str = "interpreter") -> None:
-        super().__init__("failsafe", backend)
-
-    def _build(self, plan: FaultPlan, cfg: CampaignConfig):
-        from repro.barrier.cb import cb_detectable_fault, cb_undetectable_fault
-        from repro.extensions.crash import crash_fault
-        from repro.extensions.failsafe import make_failsafe_cb
-
-        program = make_failsafe_cb(plan.nprocs, cfg.nphases)
-        det_spec, undet_spec = cb_detectable_fault(), cb_undetectable_fault()
-        crash_spec = crash_fault()
-        schedule = []
-        for e in plan.events:
-            if e.kind == "crash":
-                spec = crash_spec
-            elif e.detectable:
-                spec = det_spec
-            else:
-                spec = undet_spec
-            schedule.append((int(e.when), e.pid, spec))
-        return program, schedule
+    return make_failsafe_cb(nprocs, nphases), {**_cb_specs(), "crash": crash_fault()}
 
 
-class GCByzantineAdapter(GCAdapter):
+def _cb_byzantine(nprocs: int, nphases: int):
     """CB with the ``good`` auxiliary and a Byzantine action per
     process (:func:`repro.extensions.crash.with_byzantine`): once a
     ``byzantine``-kind event clears ``good``, that process keeps
@@ -313,39 +308,17 @@ class GCByzantineAdapter(GCAdapter):
     completion needs a trusting message layer, which is what the
     ``net:tree+undefended`` control exists to flag.
     """
+    from repro.barrier.cb import make_cb
+    from repro.extensions.crash import byzantine_fault, with_byzantine
 
-    supports_byzantine = True
-
-    def __init__(self, backend: str = "interpreter") -> None:
-        super().__init__("cb+byzantine", backend)
-
-    def _build(self, plan: FaultPlan, cfg: CampaignConfig):
-        from repro.barrier.cb import (
-            cb_detectable_fault,
-            cb_undetectable_fault,
-            make_cb,
-        )
-        from repro.extensions.crash import byzantine_fault, with_byzantine
-
-        program = with_byzantine(make_cb(plan.nprocs, cfg.nphases))
-        det_spec, undet_spec = cb_detectable_fault(), cb_undetectable_fault()
-        byz_spec = byzantine_fault()
-        schedule = []
-        for e in plan.events:
-            if e.kind == "byzantine":
-                spec = byz_spec
-            elif e.detectable:
-                spec = det_spec
-            else:
-                spec = undet_spec
-            schedule.append((int(e.when), e.pid, spec))
-        return program, schedule
+    program = with_byzantine(make_cb(nprocs, nphases))
+    return program, {**_cb_specs(), "byzantine": byzantine_fault()}
 
 
 # ----------------------------------------------------------------------
 # Timed tree barrier (protosim)
 # ----------------------------------------------------------------------
-class ProtosimAdapter(Adapter):
+def _run_protosim(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
     """The timed fault-tolerant tree barrier.
 
     Detectable events map to :meth:`FTTreeBarrierSim.schedule_fault`,
@@ -354,19 +327,11 @@ class ProtosimAdapter(Adapter):
     environments off, ``target_phases`` fault-free phases span roughly
     ``target_phases`` time units, hence the short window.
     """
+    from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
 
-    name = "protosim:tree"
-    window = (0.2, 4.0)
-    supports_undetectable = True
+    config = SimConfig(latency=0.01, work_time=1.0, seed=plan.seed)
 
-    def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
-        from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
-
-        tracer = Tracer()
-        config = SimConfig(latency=0.01, work_time=1.0, seed=plan.seed)
-        monitor_set = MonitorSet(
-            tracer, monitors_for(plan, config.nphases)
-        )
+    def body(tracer: Tracer) -> tuple[bool, float]:
         sim = FTTreeBarrierSim(nprocs=plan.nprocs, config=config, tracer=tracer)
         for event in plan.events:
             if event.detectable:
@@ -374,82 +339,59 @@ class ProtosimAdapter(Adapter):
             else:
                 sim.schedule_scramble(event.when, event.pid)
         stats = sim.run(phases=cfg.target_phases, max_time=cfg.max_time)
-        reached = stats.successful_phases >= cfg.target_phases
-        return _collect(
-            self.name, plan, monitor_set, tracer, reached, float(sim.sim.now)
-        )
+        return stats.successful_phases >= cfg.target_phases, float(sim.sim.now)
+
+    return _monitored(adapter, plan, config.nphases, body)
 
 
 # ----------------------------------------------------------------------
 # Simulated MPI collectives (simmpi)
 # ----------------------------------------------------------------------
-class SimMPIAdapter(Adapter):
+def _run_simmpi(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
     """A compute+barrier SPMD job on the simulated-MPI runtime.
 
     The collective engine masks detectable resets by re-executing the
     struck instance (FTMode.TOLERATE); it has no notion of an arbitrary
-    state scramble, so the adapter only supports detectable events,
+    state scramble, so the target only supports detectable events,
     delivered through :meth:`Runtime.schedule_fault`.
     """
+    from repro.simmpi.ftmodes import FTMode
+    from repro.simmpi.runtime import Runtime
 
-    name = "simmpi:barrier"
-    window = (0.2, 4.0)
-    supports_link = True
+    target = cfg.target_phases
 
-    def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
-        from repro.des.network import LinkFaults
-        from repro.simmpi.ftmodes import FTMode
-        from repro.simmpi.runtime import Runtime
+    def worker(comm):
+        for _ in range(target):
+            yield comm.compute(1.0)
+            yield comm.barrier()
+        return comm.rank
 
-        tracer = Tracer()
-        # Collective ids count up from 0 without wrapping -> nphases=None.
-        monitor_set = MonitorSet(tracer, monitors_for(plan, None))
-        link = None
-        if plan.link is not None and plan.link.any:
-            link = LinkFaults(
-                loss=plan.link.loss,
-                duplication=plan.link.duplication,
-                corruption=plan.link.corruption,
-            )
+    def body(tracer: Tracer) -> tuple[bool, float]:
         rt = Runtime(
             nprocs=plan.nprocs,
             latency=0.01,
             seed=plan.seed,
             ft_mode=FTMode.TOLERATE,
-            link_faults=link,
+            link_faults=_link_faults(plan),
             tracer=tracer,
         )
         for event in plan.events:
             rt.schedule_fault(event.when, event.pid)
-
-        target = cfg.target_phases
-
-        def worker(comm):
-            for _ in range(target):
-                yield comm.compute(1.0)
-                yield comm.barrier()
-            return comm.rank
-
         reached = True
         try:
             rt.run(worker, until=cfg.max_time)
         except Exception:
             reached = False
-        successes = sum(
-            1
-            for e in tracer.events
-            if e.kind == "phase_end" and e.data.get("success")
-        )
-        reached = reached and successes >= target
-        return _collect(
-            self.name, plan, monitor_set, tracer, reached, float(rt.sim.now)
-        )
+        return reached and _successes(tracer) >= target, float(rt.sim.now)
+
+    # Collective ids count up from 0 without wrapping -> nphases=None.
+    return _monitored(adapter, plan, None, body)
 
 
 # ----------------------------------------------------------------------
 # Message-passing MB over the DES kernel (des)
 # ----------------------------------------------------------------------
-class DesMBAdapter(Adapter):
+def _run_des_mb(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
     """The deployed MB ring on the discrete-event network.
 
     Faults are the MB machine's own per-rank planned resets (the
@@ -461,43 +403,28 @@ class DesMBAdapter(Adapter):
     termination barrier) is bookkeeping, not a barrier instance of the
     protocol under test.
     """
+    from repro.simmpi.mb_impl import mb_barrier_program
+    from repro.simmpi.runtime import Runtime
 
-    name = "des:mb"
-    window = (0.5, 8.0)
-    supports_link = True
+    target = cfg.target_phases
+    fault_plan: dict[int, list[float]] = {}
+    for event in plan.events:
+        fault_plan.setdefault(event.pid, []).append(event.when)
 
-    #: MB machine phase-counter wrap used for the masking monitor.
-    nphases = 4
-
-    def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
-        from repro.des.network import LinkFaults
-        from repro.simmpi.mb_impl import mb_barrier_program
-        from repro.simmpi.runtime import Runtime
-
-        tracer = Tracer()
-        monitor_set = MonitorSet(tracer, monitors_for(plan, self.nphases))
-        link = None
-        if plan.link is not None and plan.link.any:
-            link = LinkFaults(
-                loss=plan.link.loss,
-                duplication=plan.link.duplication,
-                corruption=plan.link.corruption,
-            )
+    def body(tracer: Tracer) -> tuple[bool, float]:
         rt = Runtime(
-            nprocs=plan.nprocs, latency=0.01, seed=plan.seed, link_faults=link
+            nprocs=plan.nprocs,
+            latency=0.01,
+            seed=plan.seed,
+            link_faults=_link_faults(plan),
         )
-        fault_plan: dict[int, list[float]] = {}
-        for event in plan.events:
-            fault_plan.setdefault(event.pid, []).append(event.when)
-
-        target = cfg.target_phases
 
         def worker(comm):
             return mb_barrier_program(
                 comm,
                 phases=target,
                 work_time=0.5,
-                nphases=self.nphases,
+                nphases=adapter.nphases,
                 fault_plan=fault_plan,
                 max_time=cfg.max_time,
                 # Every rank reports its planned resets (fault events);
@@ -513,18 +440,24 @@ class DesMBAdapter(Adapter):
             reached = False
         if logs is not None and logs[0] is not None:
             reached = reached and logs[0].completed >= target
-        return _collect(
-            self.name, plan, monitor_set, tracer, reached, float(rt.sim.now)
-        )
+        return reached, float(rt.sim.now)
+
+    return _monitored(adapter, plan, adapter.nphases, body)
 
 
 # ----------------------------------------------------------------------
 # Asyncio message-passing runtime (repro.net)
 # ----------------------------------------------------------------------
-class NetAdapter(Adapter):
+#: Extra barriers past the strike window so a strike landing in the
+#: window's tail still has the clean phases the stabilization monitor
+#: needs to declare convergence before the run ends.
+_NET_COOLDOWN = 2
+
+
+def _run_net(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
     """A protocol on the real asyncio runtime as a chaos target.
 
-    Unlike every other adapter, runs here burn wall clock: nodes are
+    Unlike every other family, runs here burn wall clock: nodes are
     asyncio tasks exchanging framed messages over an in-memory fabric,
     link rates and partition windows are injected at the transport by
     :class:`repro.net.faults.FaultyTransport`, and plan events become
@@ -534,164 +467,126 @@ class NetAdapter(Adapter):
     :func:`monitors_for`), so the :class:`RunOutcome` is built straight
     from the :class:`repro.net.runtime.NetResult`.
     """
+    from repro.net.runtime import NetConfig, run_sync
 
-    steps = False
-    #: Tree strikes floor to a round number, MB strikes are
-    #: progress-or-time; both land inside a ``target_phases`` run.
-    window = (1.0, 4.0)
-    supports_undetectable = False
-    supports_link = True
-    protocol = "tree"
-    #: MB machine phase-counter wrap (None => unbounded tree rounds).
-    nphases: int | None = None
-    #: Wall-clock budget per run; generous next to the ~1s typical run.
-    timeout_s = 30.0
-    #: Extra barriers past the strike window so a strike landing in the
-    #: window's tail still has the clean phases the stabilization
-    #: monitor needs to declare convergence before the run ends.
-    cooldown = 2
-    #: Worker processes; >1 exercises the sharded runtime
-    #: (:mod:`repro.net.shard`) as a chaos target.
-    shards = 1
-    #: The defensive frame layer (strict decode, validation, strikes,
-    #: fail-safe degradation); ``False`` is the intolerant control.
-    defense = True
-
-    def run(self, plan: FaultPlan, cfg: CampaignConfig) -> RunOutcome:
-        import math
-
-        from repro.net.runtime import NetConfig, run_sync
-
-        # Enough rounds that the latest possible strike (window stop)
-        # is followed by >= cooldown clean barriers.
-        barriers = max(cfg.target_phases, math.ceil(self.window[1])) + self.cooldown
-        result = run_sync(
-            NetConfig(
-                nodes=plan.nprocs,
-                barriers=barriers,
-                protocol=self.protocol,
-                transport="mem",
-                nphases=self.nphases or 4,
-                seed=plan.seed,
-                plan=plan,
-                timeout_s=self.timeout_s,
-                shards=self.shards,
-                defense=self.defense,
-            )
-        )
-        return RunOutcome(
-            target=self.name,
+    # Enough rounds that the latest possible strike (window stop)
+    # is followed by >= cooldown clean barriers.
+    barriers = max(cfg.target_phases, math.ceil(adapter.window[1])) + _NET_COOLDOWN
+    result = run_sync(
+        NetConfig(
+            nodes=plan.nprocs,
+            barriers=barriers,
+            protocol=adapter.protocol,
+            transport="mem",
+            nphases=adapter.nphases or 4,
+            seed=plan.seed,
             plan=plan,
-            reached=result.reached,
-            end_time=result.end_time,
-            faults_fired=result.faults_fired,
-            successful_phases=result.successful_phases,
-            violations=list(result.violations),
-            spans=list(result.spans),
-            events=tuple(result.merged_events),
+            timeout_s=adapter.timeout_s,
+            shards=adapter.shards,
+            defense=adapter.defense,
         )
-
-
-class NetTreeAdapter(NetAdapter):
-    """The distributed tree barrier (arrive/release waves) under chaos."""
-
-    name = "net:tree"
-    protocol = "tree"
-    nphases = None
-
-
-class NetMBAdapter(NetAdapter):
-    """Program MB on the asyncio ring under chaos."""
-
-    name = "net:mb"
-    protocol = "mb"
-    nphases = 4
-
-
-class NetTreeShardedAdapter(NetTreeAdapter):
-    """The tree barrier on the process-per-shard runtime under chaos --
-    same plans, same monitors, the coordinator/merge path as target.
-    Booting two worker processes makes each run hundreds of
-    milliseconds, not a few; campaigns should point at it with a small
-    ``--runs`` budget (``--jobs`` may spread it: the workers are plain
-    children, which a pool worker may start)."""
-
-    name = "net:tree+sharded"
-    shards = 2
-    timeout_s = 60.0
-
-
-class NetTreeByzantineAdapter(NetTreeAdapter):
-    """The defended tree barrier under the full adversarial surface:
-    campaigns may aim Byzantine lie modes and permanent fail-stops (on
-    top of resets, corruption and forged frames) at it.  The expected
-    verdict is fail-safe clean -- hostile frames quarantine, lying
-    peers are condemned, the run degrades into a fail-safe stop, and a
-    wrongful completion is never narrated."""
-
-    name = "net:tree+byzantine"
-    supports_byzantine = True
-    supports_permanent = True
-
-
-class NetMBByzantineAdapter(NetMBAdapter):
-    """Program MB on the asyncio ring under the adversarial surface.
-    A Byzantine rank's state pushes land outside the honest wire
-    envelope, so the defended ring condemns it and fail-safe stops;
-    checked non-strictly (end-of-run rule only) because MB's narration
-    is interleaving-dependent."""
-
-    name = "net:mb+byzantine"
-    supports_byzantine = True
-    supports_permanent = True
-
-
-class NetTreeUndefendedAdapter(NetTreeAdapter):
-    """The adversarial *control*: the same tree protocol with the
-    defensive frame layer off (``NetConfig.defense=False``) -- frames
-    are trusted, nobody strikes or condemns.  A Byzantine peer's
-    inflated round numbers then wrongly complete barrier rounds, which
-    the fail-safe monitor is expected to flag; silence here means the
-    monitor is blind."""
-
-    name = "net:tree+undefended"
-    defense = False
-    supports_byzantine = True
-    supports_permanent = True
+    )
+    return RunOutcome(
+        target=adapter.name,
+        plan=plan,
+        reached=result.reached,
+        end_time=result.end_time,
+        faults_fired=result.faults_fired,
+        successful_phases=result.successful_phases,
+        violations=list(result.violations),
+        spans=list(result.spans),
+        events=tuple(result.merged_events),
+    )
 
 
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
+def _gc(name: str, program: Callable, **capabilities: bool) -> Adapter:
+    return Adapter(
+        name,
+        _run_gc,
+        steps=True,
+        supports_undetectable=True,
+        program=program,
+        **capabilities,
+    )
+
+
 def _registry() -> dict[str, Adapter]:
-    adapters: list[Adapter] = [
-        GCAdapter("cb"),
-        GCAdapter("rb-ring"),
-        GCAdapter("rb-tree"),
-        GCMBAdapter("mb"),
-        GCAdapter("cb", backend="compiled"),
-        GCAdapter("rb-ring", backend="compiled"),
-        GCAdapter("rb-tree", backend="compiled"),
-        GCMBAdapter("mb", backend="compiled"),
-        GCIntolerantAdapter(),
-        GCFailSafeAdapter(),
-        GCByzantineAdapter(),
-        GCFailSafeAdapter(backend="compiled"),
-        GCByzantineAdapter(backend="compiled"),
-        ProtosimAdapter(),
-        SimMPIAdapter(),
-        DesMBAdapter(),
-        NetTreeAdapter(),
-        NetMBAdapter(),
-        NetTreeShardedAdapter(),
-        NetTreeByzantineAdapter(),
-        NetMBByzantineAdapter(),
-        NetTreeUndefendedAdapter(),
+    cb = _gc("gc:cb", _cb)
+    rb_ring = _gc("gc:rb-ring", _rb_ring)
+    rb_tree = _gc("gc:rb-tree", _rb_tree)
+    mb = _gc("gc:mb", _mb)
+    failsafe = _gc("gc:failsafe", _failsafe, supports_permanent=True)
+    cb_byzantine = _gc("gc:cb+byzantine", _cb_byzantine, supports_byzantine=True)
+    # The distributed tree barrier (arrive/release waves) under chaos.
+    # Tree strikes floor to a round number, MB strikes are
+    # progress-or-time; both land inside a ``target_phases`` run.
+    net_tree = Adapter("net:tree", _run_net, window=(1.0, 4.0), supports_link=True)
+    # Program MB on the asyncio ring under chaos.
+    net_mb = replace(net_tree, name="net:mb", protocol="mb", nphases=4)
+    # Campaigns may aim Byzantine lie modes and permanent fail-stops (on
+    # top of resets, corruption and forged frames) at these.
+    adversarial = {"supports_byzantine": True, "supports_permanent": True}
+    rows = [
+        cb,
+        rb_ring,
+        rb_tree,
+        mb,
+        replace(cb, name="gc:cb+compiled", backend="compiled"),
+        replace(rb_ring, name="gc:rb-ring+compiled", backend="compiled"),
+        replace(rb_tree, name="gc:rb-tree+compiled", backend="compiled"),
+        replace(mb, name="gc:mb+compiled", backend="compiled"),
+        _gc("gc:intolerant", _intolerant),
+        failsafe,
+        cb_byzantine,
+        replace(failsafe, name="gc:failsafe+compiled", backend="compiled"),
+        replace(cb_byzantine, name="gc:cb+byzantine+compiled", backend="compiled"),
+        Adapter(
+            "protosim:tree",
+            _run_protosim,
+            window=(0.2, 4.0),
+            supports_undetectable=True,
+        ),
+        Adapter(
+            "simmpi:barrier", _run_simmpi, window=(0.2, 4.0), supports_link=True
+        ),
+        Adapter(
+            "des:mb", _run_des_mb, window=(0.5, 8.0), supports_link=True, nphases=4
+        ),
+        net_tree,
+        net_mb,
+        # The tree barrier on the process-per-shard runtime under chaos
+        # -- same plans, same monitors, the coordinator/merge path as
+        # target.  Booting two worker processes makes each run hundreds
+        # of milliseconds, not a few; campaigns should point at it with
+        # a small ``--runs`` budget (``--jobs`` may spread it: the
+        # workers are plain children, which a pool worker may start).
+        replace(net_tree, name="net:tree+sharded", shards=2, timeout_s=60.0),
+        # The defended tree barrier under the full adversarial surface.
+        # The expected verdict is fail-safe clean -- hostile frames
+        # quarantine, lying peers are condemned, the run degrades into a
+        # fail-safe stop, and a wrongful completion is never narrated.
+        replace(net_tree, name="net:tree+byzantine", **adversarial),
+        # Program MB on the asyncio ring under the adversarial surface.
+        # A Byzantine rank's state pushes land outside the honest wire
+        # envelope, so the defended ring condemns it and fail-safe
+        # stops; checked non-strictly (end-of-run rule only) because
+        # MB's narration is interleaving-dependent.
+        replace(net_mb, name="net:mb+byzantine", **adversarial),
+        # The adversarial *control*: the same tree protocol with the
+        # defensive frame layer off (``NetConfig.defense=False``) --
+        # frames are trusted, nobody strikes or condemns.  A Byzantine
+        # peer's inflated round numbers then wrongly complete barrier
+        # rounds, which the fail-safe monitor is expected to flag;
+        # silence here means the monitor is blind.
+        replace(net_tree, name="net:tree+undefended", defense=False, **adversarial),
     ]
-    return {a.name: a for a in adapters}
+    return {a.name: a for a in rows}
 
 
-#: target name -> adapter instance (all stateless between runs).
+#: target name -> row (immutable; a run keeps no state on it).
 ADAPTERS: dict[str, Adapter] = _registry()
 
 

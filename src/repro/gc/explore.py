@@ -30,18 +30,11 @@ Performance options (all off by default, all result-preserving):
   (convergence checks from many fault-perturbed roots) skip
   re-expansion.  Bounded by ``max_states`` entries; cleared with
   :meth:`Explorer.clear_cache`.
-* ``workers`` -- expand each BFS level's frontier in a thread pool.
-  Successor lists are merged sequentially in frontier order afterwards,
-  so the resulting graph -- and the BFS layer order -- is identical to
-  the serial run.  Guard evaluation is pure Python, so this only pays
-  off when guards release the GIL; it is provided for completeness and
-  for larger deployments, not as the default path.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Hashable, Iterable
@@ -159,9 +152,8 @@ class Explorer:
     """Breadth-first exploration of a program's state space.
 
     ``compact_keys`` switches result keys from ``State.key()`` tuples to
-    interned :class:`KeyCodec` byte strings (see module docstring);
-    ``workers`` > 1 expands each BFS level in a thread pool.  Both
-    options produce the identical graph, modulo key representation.
+    interned :class:`KeyCodec` byte strings (see module docstring) and
+    produces the identical graph, modulo key representation.
     """
 
     def __init__(
@@ -169,13 +161,11 @@ class Explorer:
         program: Program,
         max_states: int = 200_000,
         compact_keys: bool = False,
-        workers: int | None = None,
         backend: str = "interpreter",
     ) -> None:
         self.program = program
         self.max_states = max_states
         self.compact_keys = compact_keys
-        self.workers = workers
         self.backend = backend
         # One engine expands every state.  The live engine's
         # ``successors`` is stateless, so a program the daemons would
@@ -230,8 +220,7 @@ class Explorer:
         States are expanded strictly in BFS layer order (all roots, then
         all depth-1 states in discovery order, ...), so ``max_states``
         truncation keeps a distance-bounded ball around the roots rather
-        than a depth-first sliver.  Runs with the same roots and budget
-        produce the identical graph regardless of ``workers``.
+        than a depth-first sliver.
         """
         frontier: deque[tuple[Key, State]] = deque()
         initial: set[Key] = set()
@@ -244,47 +233,21 @@ class Explorer:
         seen: set[Key] = set(initial)
         transitions: dict[Key, set[Key]] = {}
         truncated = False
-        # Only the live engine's ``successors`` is stateless; a
-        # memoizing engine shares one mutable array mirror across calls,
-        # so its expansion is serialized (workers are ignored).
-        pool = (
-            ThreadPoolExecutor(max_workers=self.workers)
-            if self.workers
-            and self.workers > 1
-            and type(self._engine) is EnabledIndex
-            else None
-        )
-        try:
-            while frontier:
-                if pool is not None:
-                    level = list(frontier)
-                    frontier.clear()
-                    expanded = pool.map(
-                        lambda kv: self._expand(kv[1], kv[0]), level
-                    )
-                    batches = list(zip(level, expanded))
-                else:
-                    key, state = frontier.popleft()
-                    batches = [((key, state), self._expand(state, key))]
-                # Sequential merge in frontier order: determinism does
-                # not depend on thread completion order.
-                for (key, _state), pairs in batches:
-                    succs = set()
-                    for skey, sstate in pairs:
-                        succs.add(skey)
-                        if skey in seen:
-                            continue
-                        if len(seen) >= self.max_states:
-                            truncated = True
-                            continue
-                        seen.add(skey)
-                        if sstate is None:  # memo hit: rebuild lazily
-                            sstate = self.state_of(skey)
-                        frontier.append((skey, sstate))
-                    transitions[key] = succs
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        while frontier:
+            key, state = frontier.popleft()
+            succs = set()
+            for skey, sstate in self._expand(state, key):
+                succs.add(skey)
+                if skey in seen:
+                    continue
+                if len(seen) >= self.max_states:
+                    truncated = True
+                    continue
+                seen.add(skey)
+                if sstate is None:  # memo hit: rebuild lazily
+                    sstate = self.state_of(skey)
+                frontier.append((skey, sstate))
+            transitions[key] = succs
         for key in seen:
             transitions.setdefault(key, set())
         unexpanded: set[Key] = set()

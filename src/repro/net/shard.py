@@ -21,7 +21,8 @@ turn a round in ~50 ms, one loop over Unix sockets in 100-190 ms).
 Topology-aware partitioning (:func:`partition_nodes`) keeps protocol
 edges inside shards: the tree protocol is cut at the shallowest heap
 level with at least ``shards`` subtree roots (whole subtrees stay
-together, so only O(shards) edges cross), the ring is cut into
+together and sibling roots are split only for the shards that would
+otherwise sit empty, so only O(shards) edges cross), the ring is cut into
 contiguous arcs (exactly ``shards`` cross edges).  In-shard traffic
 rides :class:`~repro.net.transport.MemTransport` queues, as in the
 single-loop runtime; cross-shard traffic rides one
@@ -73,6 +74,7 @@ import tempfile
 import time as _time
 import traceback
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Mapping
 
 from repro.net.frames import FrameDecoder, append_frame, pack_record, unpack_record
@@ -101,10 +103,15 @@ def partition_nodes(
     Tree: contiguous pid blocks would put almost *every* heap edge
     (parent of ``p`` is ``(p-1)//arity``) across shards, so instead the
     tree is cut at the shallowest level with >= ``shards`` subtree
-    roots; the roots are distributed in contiguous runs, every deeper
-    pid inherits its depth-``d`` ancestor's shard, and every shallower
-    pid follows its leftmost descendant (which keeps each
-    parent--leftmost-child edge local: only O(shards) edges cross).
+    roots.  That level's sibling groups (one per depth-``d-1`` subtree,
+    always fewer than ``shards``) each go whole to a shard of their
+    own; the shards left over are handed out one at a time to the group
+    with the most roots per shard, and only a group holding several
+    shards is split, into contiguous runs.  Every deeper pid inherits
+    its depth-``d`` ancestor's shard and every shallower pid follows
+    its leftmost descendant, which keeps each parent--leftmost-child
+    edge local: at most ``arity/2`` edges cross per left-over shard,
+    plus the few above the cut -- O(shards), never O(nodes).
 
     Ring (mb): contiguous arcs, exactly ``shards`` cross edges.
     """
@@ -126,7 +133,17 @@ def partition_nodes(
         base += width
         width = width * arity if arity > 1 else 1
     roots = list(range(base, min(base + width, nodes)))
-    root_shard = {r: i * shards // len(roots) for i, r in enumerate(roots)}
+    siblings = [list(g) for _, g in groupby(roots, key=lambda r: (r - 1) // arity)]
+    held = [1] * len(siblings)  # shards per group; never more than its roots
+    for _ in range(shards - len(siblings)):
+        g = max(range(len(siblings)), key=lambda i: len(siblings[i]) / held[i])
+        held[g] += 1
+    root_shard: dict[int, int] = {}
+    first = 0
+    for group, k in zip(siblings, held):
+        for j, r in enumerate(group):
+            root_shard[r] = first + j * k // len(group)
+        first += k
 
     def anchor(pid: int) -> int:
         p = pid

@@ -7,6 +7,12 @@ differential oracle and the conformance matrix cannot afford.
 :func:`pytest_sessionstart` scans the test tree with :mod:`ast` and
 fails the session if it finds one; append ``# unseeded-ok`` to a line
 to claim a deliberate exception.
+
+The same rule covers hypothesis: the ``tier1`` profile loaded here is
+derandomized (examples are a function of the test's source, the example
+database is not consulted), so the suite passes or fails by commit, not
+by checkout.  ``--hypothesis-profile=explore`` draws fresh seeds and
+keeps its finds in ``.hypothesis/``; the nightly workflow runs it.
 """
 
 from __future__ import annotations
@@ -16,11 +22,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.barrier.cb import make_cb
 from repro.barrier.mb import make_mb
 from repro.barrier.rb import make_rb
 from repro.barrier.tokenring import make_token_ring
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 #: RNG factories: unseeded when called with no arguments (or ``None``).
 #: ``default_rng`` is matched by name, so numpy's and ``repro._pcg64``'s

@@ -1,7 +1,9 @@
 """End-to-end chaos campaigns: tolerant silence, intolerant violations,
 deterministic shrinking, and replayable reproducer files."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,78 @@ from repro.chaos import (
 )
 from repro.chaos.campaign import campaign_point
 from repro.experiments.cli import main as cli_main
+
+
+#: target -> (steps, window, supports_undetectable, supports_link,
+#: supports_byzantine, supports_permanent), recorded from the class
+#: hierarchy the table replaced: what campaign generation reads.
+_GC = (True, (1.0, 30.0), True, False, False, False)
+_NET = (False, (1.0, 4.0), False, True, False, False)
+_NET_ADVERSARIAL = (False, (1.0, 4.0), False, True, True, True)
+TARGETS = {
+    "des:mb": (False, (0.5, 8.0), False, True, False, False),
+    "gc:cb": _GC,
+    "gc:cb+byzantine": (True, (1.0, 30.0), True, False, True, False),
+    "gc:cb+byzantine+compiled": (True, (1.0, 30.0), True, False, True, False),
+    "gc:cb+compiled": _GC,
+    "gc:failsafe": (True, (1.0, 30.0), True, False, False, True),
+    "gc:failsafe+compiled": (True, (1.0, 30.0), True, False, False, True),
+    "gc:intolerant": _GC,
+    "gc:mb": _GC,
+    "gc:mb+compiled": _GC,
+    "gc:rb-ring": _GC,
+    "gc:rb-ring+compiled": _GC,
+    "gc:rb-tree": _GC,
+    "gc:rb-tree+compiled": _GC,
+    "net:mb": _NET,
+    "net:mb+byzantine": _NET_ADVERSARIAL,
+    "net:tree": _NET,
+    "net:tree+byzantine": _NET_ADVERSARIAL,
+    "net:tree+sharded": _NET,
+    "net:tree+undefended": _NET_ADVERSARIAL,
+    "protosim:tree": (False, (0.2, 4.0), True, False, False, False),
+    "simmpi:barrier": (False, (0.2, 4.0), False, True, False, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS))
+def test_target_capabilities(name):
+    a = get_adapter(name)
+    assert a.name == name
+    assert (
+        a.steps, a.window, a.supports_undetectable, a.supports_link,
+        a.supports_byzantine, a.supports_permanent,
+    ) == TARGETS[name]
+
+
+def test_registry_names_and_unknown_target_message():
+    from repro.chaos import ADAPTERS
+
+    assert sorted(ADAPTERS) == sorted(TARGETS)
+    with pytest.raises(KeyError) as err:
+        get_adapter("gc:nope")
+    assert err.value.args[0] == (
+        f"unknown chaos target 'gc:nope'; known: {sorted(TARGETS)}"
+    )
+
+
+def test_targets_are_rows_of_one_table():
+    """The hierarchy-regrowth gate: in ``chaos/adapters.py`` a target is
+    a row, not a class, and the gc engine, the net runtime, the monitor
+    wiring and the link-fault translation are each entered in exactly
+    one place -- two targets cannot drift apart in code that exists
+    once."""
+    source = Path(__file__).resolve().parent.parent / "src/repro/chaos/adapters.py"
+    tree = ast.parse(source.read_text())
+    classes = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    assert sorted(classes) == ["Adapter", "RunOutcome"]
+    calls = [
+        n.func.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    ]
+    for callee in ("Simulator", "run_sync", "MonitorSet", "LinkFaults"):
+        assert calls.count(callee) == 1, (callee, calls.count(callee))
 
 
 class TestCampaigns:

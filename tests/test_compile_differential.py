@@ -314,7 +314,6 @@ def cases(draw, max_procs=3, max_steps=80, with_faults=True):
 
 COMMON = dict(
     deadline=None,
-    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 

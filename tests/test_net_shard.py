@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.plan import CampaignConfig, FaultEvent, FaultPlan, LinkPlan
@@ -95,6 +95,13 @@ def test_partition_ring_is_contiguous_arcs():
     shards=st.integers(min_value=1, max_value=16),
     arity=st.sampled_from([1, 2, 3, 4, 8]),
 )
+# The cut lands on the last level with a root count that is no multiple
+# of the shard count: dealing roots in equal runs split every sibling
+# group and sent 37-45 of these trees' 62-67 edges across shards.
+@example(nodes=63, shards=10, arity=8)
+@example(nodes=64, shards=9, arity=8)
+@example(nodes=64, shards=10, arity=8)
+@example(nodes=68, shards=11, arity=8)
 @settings(max_examples=120, deadline=None)
 def test_partition_properties(nodes, shards, arity):
     """Total, surjective, root-on-shard-0, and O(shards) cross edges --
@@ -109,6 +116,29 @@ def test_partition_properties(nodes, shards, arity):
     assert tree_cross <= 4 * eff  # O(shards), never O(nodes)
     ring_cross = cross_edges(partition_nodes(nodes, shards, "mb"), "mb")
     assert ring_cross == (eff if eff > 1 else 0)
+
+
+def test_partition_tree_cross_edge_bound_holds_on_the_whole_domain():
+    """The property's domain is small enough to walk: all 31 920 points."""
+    over = [
+        (nodes, shards, arity, crossing)
+        for nodes in range(2, 401)
+        for shards in range(1, 17)
+        for arity in (1, 2, 3, 4, 8)
+        if (crossing := cross_edges(
+            partition_nodes(nodes, shards, "tree", arity), "tree", arity
+        )) > 4 * min(shards, nodes)
+    ]
+    assert not over
+
+
+def test_partition_of_the_bench_sharded_shape_is_two_halves():
+    """``bench``'s ``net_sharded`` unit (64 nodes, 2 shards, arity 2):
+    the root and its left subtree on shard 0, the right subtree on 1 --
+    the root's right edge is the only one that crosses."""
+    part = partition_nodes(64, 2, "tree", 2)
+    assert part[:3] == [0, 0, 1]
+    assert cross_edges(part, "tree", 2) == 1
 
 
 # ----------------------------------------------------------------------

@@ -61,14 +61,41 @@ EVENT_KINDS = frozenset(
 RESERVED_KEYS = frozenset({"kind", "t", "pid"})
 
 
-@dataclass(frozen=True)
+class _NoData(dict):
+    """The payload of every event that has none: an empty ``dict`` that
+    cannot be filled, so one instance serves the whole process.
+
+    A real ``dict`` so ``==``, ``.get``, ``json`` and ``to_dict`` need
+    no second case; it pickles (and deep-copies) as a reference to
+    :data:`_NO_DATA`, which keeps it shared on the far side of a shard
+    boundary -- ``types.MappingProxyType`` does not pickle at all.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("the shared empty event payload is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = setdefault = pop = popitem = clear = _read_only
+
+    def __reduce__(self) -> str:
+        return "_NO_DATA"
+
+
+_NO_DATA = _NoData()
+
+
+@dataclass(frozen=True, slots=True)
 class ObsEvent:
     """One structured trace record.
 
     ``time`` is virtual time for the timed engines and the step number
     (as a float) for the untimed guarded-command runs; ``pid`` is the
     process/rank the event is attributed to (None for system-wide
-    events, e.g. a whole-system perturbation).
+    events, e.g. a whole-system perturbation).  An event without payload
+    holds the shared :data:`_NO_DATA`, whatever empty mapping it was
+    built with.
     """
 
     kind: str
@@ -81,8 +108,11 @@ class ObsEvent:
             raise ValueError(
                 f"unknown event kind {self.kind!r}; known: {sorted(EVENT_KINDS)}"
             )
-        bad = RESERVED_KEYS.intersection(self.data)
-        if bad:
+        data = self.data
+        if not data:
+            object.__setattr__(self, "data", _NO_DATA)
+        elif not RESERVED_KEYS.isdisjoint(data):
+            bad = RESERVED_KEYS.intersection(data)
             raise ValueError(f"reserved keys in event data: {sorted(bad)}")
 
     def to_dict(self) -> dict[str, Any]:

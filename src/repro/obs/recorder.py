@@ -110,21 +110,18 @@ class FlightRecorder(Tracer):
         self.protocol_events: list[ObsEvent] = []
 
     # -- recording -----------------------------------------------------
-    def emit(self, kind: str, time: float, pid: int | None = None, **data: Any) -> None:
-        event = ObsEvent(kind=kind, time=time, pid=pid, data=data)
+    def _keep(self, event: ObsEvent) -> None:
+        """Ring with drop accounting instead of the unbounded list."""
         self.appended += 1
         if len(self._ring) >= self.capacity:
             self._ring.popleft()
             self.dropped += 1
         self._ring.append(event)
-        if kind in PROTOCOL_KINDS:
+        if event.kind in PROTOCOL_KINDS:
             if self.pid is not None:
                 self.rows.append(projection_row(event, self.pid))
             if self.protocol_log:
                 self.protocol_events.append(event)
-        if self._listeners:
-            for listener in self._listeners:
-                listener(event)
 
     # -- views ---------------------------------------------------------
     @property

@@ -162,11 +162,16 @@ class Tracer(NullTracer):
     # -- events --------------------------------------------------------
     def emit(self, kind: str, time: float, pid: int | None = None, **data: Any) -> None:
         """Record one event (``kind`` must be a known event kind)."""
-        event = ObsEvent(kind=kind, time=time, pid=pid, data=data)
-        self._events.append(event)
+        event = ObsEvent(kind, time, pid, data)
+        self._keep(event)
         if self._listeners:
             for listener in self._listeners:
                 listener(event)
+
+    def _keep(self, event: ObsEvent) -> None:
+        """Store one emitted event (the retention policy; listeners are
+        notified after it returns)."""
+        self._events.append(event)
 
     def phase_start(
         self, time: float, phase: int, pid: int | None = 0, **data: Any

@@ -116,7 +116,12 @@ class BarrierGroup:
     def offer(self, client: int, kind: str, payload: dict[str, Any]) -> bool:
         """Queue a frame for the worker; False = backpressure (the
         caller answers with a transient reject and the client's resend
-        loop retries)."""
+        loop retries).  A done group's worker has exited and only pure
+        replies are left (the healing ``release``, ``group-done``), so
+        those are answered inline."""
+        if self.done:
+            self.dispatch(client, kind, payload)
+            return True
         try:
             self.inbox.put_nowait((client, kind, payload))
             return True
@@ -148,6 +153,9 @@ class BarrierGroup:
                 self._evict_expired()
                 continue
             self.dispatch(client, kind, payload)
+        # Frames queued behind the completing one still get their reply.
+        while not self.inbox.empty():
+            self.dispatch(*self.inbox.get_nowait())
 
     def dispatch(self, client: int, kind: str, payload: dict[str, Any]) -> None:
         """Apply one frame to the group state (worker context)."""

@@ -21,6 +21,7 @@ from repro.net.frames import Message, encode_frame
 from repro.obs.http import ObsHttpServer
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.serve.groups import BarrierGroup
 from repro.serve.protocol import ARRIVE, SERVER_ID
 
 
@@ -300,6 +301,82 @@ def test_slow_group_backpressure_never_stalls_other_groups():
                 pass
         finally:
             for c in (slow_client, fast_a, fast_b):
+                await c.close()
+            await daemon.shutdown()
+
+    run(go())
+
+
+def test_done_group_answers_late_frames_inline():
+    """A finished group has no worker left, so ``offer`` must answer
+    instead of queueing: the healing ``release`` for a late ``arrive``
+    and ``group-done`` for a late ``join``, nothing left in the inbox."""
+
+    async def go():
+        sent: list[tuple[int, str, dict]] = []
+        group = BarrierGroup(
+            "g", 2, send=lambda c, k, p: sent.append((c, k, p)) or True
+        )
+        group.start()
+        for client in (1, 2):
+            group.offer(client, "join", {"rid": client})
+        for r in range(2):
+            for client in (1, 2):
+                group.offer(client, "arrive", {"round": r})
+        # Queued behind the completing frame: drained before the worker exits.
+        group.offer(2, "arrive", {"round": 1})
+        await asyncio.sleep(0.05)
+        assert group.done and group._worker.done()
+        assert sent[-1] == (2, "release", {"g": "g", "round": 1, "last": True})
+        assert group.inbox.qsize() == 0
+        del sent[:]
+        assert group.offer(2, "arrive", {"round": 1})
+        assert group.offer(3, "join", {"rid": 7})
+        assert sent == [
+            (2, "release", {"g": "g", "round": 1, "last": True}),
+            (3, "g.reject", {"g": "g", "rid": 7, "reason": "group-done"}),
+        ]
+        # Past the inbox bound there is still no backpressure, only replies.
+        for _ in range(group.limits.queue_depth + 1):
+            assert group.offer(2, "arrive", {"round": 1})
+        assert group.inbox.qsize() == 0
+        assert group.stats["backpressure"] == 0
+
+    run(go())
+
+
+def test_late_frames_to_done_group_answered_over_socket():
+    """The same over a real socket: a member that lost its final
+    release (crash after the last arrive) resends and is healed; a
+    late joiner is told ``group-done`` instead of timing out."""
+
+    async def go():
+        daemon = await boot()
+        a, b, late = (client_for(daemon, cid) for cid in (1, 2, 3))
+        try:
+            await a.connect()
+            await b.connect()
+            await a.create("g", capacity=2, barriers=2)
+            await a.join("g")
+            await b.join("g")
+            for r in range(2):
+                await asyncio.gather(a.arrive("g", r), b.arrive("g", r))
+            assert daemon.groups["g"].done
+            await b.crash()  # forgets the release it was sent
+            await b.connect()
+            frames: list[Message] = []
+            dispatch = b._dispatch
+            b._dispatch = lambda msg: (frames.append(msg), dispatch(msg))
+            assert await b.arrive("g", 1) == "released"
+            releases = [m.payload for m in frames if m.kind == "release"]
+            assert releases[0] == {"g": "g", "round": 1, "last": True}
+            await late.connect()
+            with pytest.raises(ServeClientError) as err:
+                await late.join("g")
+            assert err.value.reason == "group-done"
+            assert daemon.groups["g"].snapshot()["inbox_depth"] == 0
+        finally:
+            for c in (a, b, late):
                 await c.close()
             await daemon.shutdown()
 

@@ -264,10 +264,22 @@ class DedupIndex:
         for key in [k for k in self._seen if k[0] == src and k[1] < incarnation]:
             del self._seen[key]
 
+    def forget(self, src: int) -> None:
+        """Drop everything held for a sender, its floor included: the
+        next frame from ``src`` starts a fresh history."""
+        self._floor.pop(src, None)
+        for key in [k for k in self._seen if k[0] == src]:
+            del self._seen[key]
+
     @property
     def tracked(self) -> int:
         """Live (src, incarnation) entries (memory-bound tests)."""
         return len(self._seen)
+
+    @property
+    def floors(self) -> int:
+        """Senders with an incarnation floor."""
+        return len(self._floor)
 
 
 class LamportClock:

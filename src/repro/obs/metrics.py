@@ -123,6 +123,12 @@ class Counter(_Metric):
     def value(self, **labels: Any) -> float:
         return self._values.get(self._key(labels), 0)
 
+    def remove(self, **labels: Any) -> None:
+        """Drop one label combination's series -- what keeps a family
+        labelled by a short-lived thing (a group, a session) bounded by
+        the things alive, not by every one ever seen."""
+        self._values.pop(self._key(labels), None)
+
     def samples(self) -> Iterator[tuple[str, float]]:
         for key in sorted(self._values):
             yield self.name + self._label_suffix(key), self._values[key]

@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="serve a Unix socket instead of TCP")
     run.add_argument("--obs-port", type=int, default=None,
                      help="HTTP /metrics /health /groups (0 = ephemeral)")
-    run.add_argument("--max-groups", type=int, default=64)
+    run.add_argument("--max-groups", type=int, default=64,
+                     help="live groups at once (finished ones do not count)")
     run.add_argument("--queue-depth", type=int, default=256,
                      help="per-group inbox bound (backpressure past it)")
     run.add_argument("--lease", type=float, default=30.0,

@@ -112,12 +112,15 @@ class ServeClient:
         return self
 
     async def close(self) -> None:
-        """Clean goodbye (best-effort), then tear the session down."""
+        """Clean goodbye: ``bye``, then wait -- one resend tick at most
+        -- for the daemon's ``goodbye`` and hang-up (the read loop ends
+        at its EOF) before tearing the session down, so a clean session
+        never reaches the daemon as a reset pipe."""
         if self.connected and self._writer is not None:
             try:
                 self._send(BYE, {"rid": self._next_rid()})
-                await asyncio.sleep(0)  # let the bye hit the wire
-            except (ConnectionError, RuntimeError):
+                await asyncio.wait_for(self._reader_task, self.resend_s)
+            except (ConnectionError, RuntimeError, asyncio.TimeoutError):
                 pass
         await self.abort()
 
@@ -311,8 +314,12 @@ class ServeClient:
                     except FrameError:
                         continue  # a corrupt server frame; ignore
                     self._dispatch(msg)
-        except (ConnectionError, asyncio.CancelledError, FrameError):
+        except (asyncio.CancelledError, FrameError):
             pass
+        except ConnectionError as exc:
+            # The reader keeps the error it raised here; with a traceback
+            # that is a cycle through this frame back to the reader.
+            exc.__traceback__ = None
         finally:
             self.connected = False
             self._wake_waiters()

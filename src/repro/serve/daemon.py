@@ -13,14 +13,25 @@ Isolation model (the load-bearing design):
   or flooded group backpressures its *own* clients (transient
   ``reject(backpressure)`` frames, retried by the client's resend loop)
   and cannot stall any other group;
-* each client owns a **bounded outbox** drained by its own writer task
-  -- a slow reader sheds frames instead of blocking a group worker, and
+* each client owns a **bounded outbox** -- its transport's write buffer
+  plus ``outbox_depth`` frames once the peer stops reading; past that a
+  slow reader sheds frames instead of blocking a group worker, and
   every shed frame is healed by protocol idempotence (stale arrives are
   answered with direct releases; requests are retried by rid);
 * the daemon-wide :class:`~repro.net.frames.DedupIndex` keeps
   exactly-once semantics across client crash-restarts: a reconnect with
   a bumped incarnation supersedes the dead session and floors the old
   one, so replayed frames from a client's previous life are refused.
+
+What the daemon holds is a function of who is connected *now*: a group
+that passed its last barrier collapses to a
+:class:`~repro.serve.groups.DoneGroup` record (the newest
+:data:`DONE_RETAINED` are kept), a session that ends without a seat
+leaves one incarnation floor, and that floor -- like a crashed
+session's seat-less leftovers, a condemnation, or a connection that
+idles without a seat -- expires on the ``lease_s`` clock.  A connection
+is an :class:`asyncio.Protocol`: nothing awaits on it and no exception
+is kept for it, so however the peer ended it, it dies by refcount.
 
 The PR-7 observability plane is wired in: ``/metrics`` (Prometheus
 0.0.4), ``/health`` and ``/groups`` are served by
@@ -35,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -47,7 +59,7 @@ from repro.net.frames import (
     encode_frame,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.groups import BarrierGroup, GroupLimits
+from repro.serve.groups import BarrierGroup, DoneGroup, GroupLimits
 from repro.serve.protocol import (
     ARRIVE,
     BYE,
@@ -66,6 +78,21 @@ from repro.serve.protocol import (
     check_hello,
     check_round,
 )
+
+#: Finished groups kept as :class:`DoneGroup` records, newest first out
+#: last: long enough for a member's last resend and a post-run
+#: ``outcomes()``; a constant, so the bound holds at any completion rate.
+DONE_RETAINED = 64
+
+#: ``gauges()`` key -> (``/metrics`` family, help).
+_GAUGES = {
+    "groups_active": ("serve_groups_active", "live groups"),
+    "groups_retained": ("serve_groups_retained", "done-records kept"),
+    "clients": ("serve_clients_connected", "live client sessions"),
+    "dedup_tracked": ("serve_dedup_tracked", "(client, incarnation) dedup entries"),
+    "dedup_floors": ("serve_dedup_floors", "departed clients' incarnation floors"),
+    "condemned": ("serve_clients_condemned", "condemned client ids"),
+}
 
 #: Barrier-latency histogram buckets (seconds).
 _LATENCY_BUCKETS = (
@@ -100,62 +127,63 @@ class ServeConfig:
             raise ValueError("default_capacity must be in [1, max_members]")
 
 
-class _ClientConn:
-    """One live client session: the connection, its outbox, its writer."""
+class _ClientConn(asyncio.Protocol):
+    """One connection: chunks in through the frame decoder, frames out
+    straight into the transport.  Unbound until its ``hello``."""
 
-    def __init__(
-        self,
-        client: int,
-        incarnation: int,
-        writer: asyncio.StreamWriter,
-        depth: int,
-    ) -> None:
-        self.client = client
-        self.incarnation = incarnation
-        self.writer = writer
-        self.outbox: asyncio.Queue[bytes | None] = asyncio.Queue(maxsize=depth)
-        self.dropped = 0
+    def __init__(self, daemon: "ServeDaemon") -> None:
+        self.daemon = daemon
+        self.decoder = FrameDecoder()
+        self.client: int | None = None
+        self.incarnation = 0
+        self.transport: asyncio.Transport | None = None
+        self.last_seen = time.monotonic()
+        #: Frames accepted since the transport said "peer not reading"
+        #: (None while it keeps up) -- the outbox that is bounded.
+        self._backlog: int | None = None
         self.closed = False
-        self.task: asyncio.Task | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.daemon.stats["connections"] += 1
+
+    def data_received(self, chunk: bytes) -> None:
+        try:
+            for body in self.decoder.feed(chunk):
+                self.daemon._on_frame(self, body)
+                if self.closed:
+                    return
+        except FrameError:
+            # Unframeable bytes: the stream cannot resync; drop it.
+            self.daemon._quarantine("framing")
+            self.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.closed = True
+        self.daemon._detach(self)
+
+    def pause_writing(self) -> None:
+        self._backlog = 0
+
+    def resume_writing(self) -> None:
+        self._backlog = None
 
     def offer(self, frame: bytes) -> bool:
-        """Queue a frame for the writer; False = slow client, shed."""
+        """Write a frame; False = slow client past its bound, shed."""
         if self.closed:
             return False
-        try:
-            self.outbox.put_nowait(frame)
-            return True
-        except asyncio.QueueFull:
-            self.dropped += 1
-            return False
-
-    async def drain_loop(self) -> None:
-        """The per-client writer: the only task that touches the socket,
-        so a stalled peer never blocks a group worker."""
-        try:
-            while True:
-                frame = await self.outbox.get()
-                if frame is None:
-                    break
-                self.writer.write(frame)
-                await self.writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            self.closed = True
-            try:
-                self.writer.close()
-            except RuntimeError:
-                pass
+        if self._backlog is not None:
+            if self._backlog >= self.daemon.config.outbox_depth:
+                return False
+            self._backlog += 1
+        self.transport.write(frame)  # type: ignore[union-attr]
+        return True
 
     def close(self) -> None:
+        """Hang up once what is buffered has been written."""
         self.closed = True
-        if self.task is not None:
-            self.task.cancel()
-        try:
-            self.writer.close()
-        except RuntimeError:
-            pass
+        if self.transport is not None:
+            self.transport.close()
 
 
 class ServeDaemon:
@@ -163,12 +191,19 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.groups: dict[str, BarrierGroup] = {}
+        #: Live groups and the retained done-records, by name.
+        self.groups: dict[str, BarrierGroup | DoneGroup] = {}
+        #: Names of the done-records in ``groups``, oldest first.
+        self._retained: deque[str] = deque()
         self.clients: dict[int, _ClientConn] = {}
         self.dedup = DedupIndex()
         self.condemned: set[int] = set()
         self._strikes: dict[int, int] = {}
         self._seq: dict[int, int] = {}
+        #: client -> when its session ended, oldest first: what it left
+        #: behind (see :meth:`_detach`) expires ``lease_s`` later.
+        self._gone: dict[int, float] = {}
+        self._lease_task: asyncio.Task | None = None
         self._server: asyncio.AbstractServer | None = None
         self._obs: Any = None
         self._draining = False
@@ -206,31 +241,38 @@ class ServeDaemon:
             "first-arrive to completion per round",
             buckets=_LATENCY_BUCKETS,
         )
-        self._g_clients = registry.gauge(
-            "serve_clients_connected", "live client sessions"
-        )
-        self._g_groups = registry.gauge("serve_groups_active", "live groups")
+        self._m_gauges = {
+            key: registry.gauge(name, help)
+            for key, (name, help) in _GAUGES.items()
+        }
+
+    def gauges(self) -> dict[str, int]:
+        """Counts of everything held per group or per client: at rest
+        (nobody connected, leases run out) all but ``groups_retained``
+        are zero, however many sessions were served."""
+        retained = len(self._retained)
+        return {
+            "groups_active": len(self.groups) - retained,
+            "groups_retained": retained,
+            "clients": len(self.clients),
+            "dedup_tracked": self.dedup.tracked,
+            "dedup_floors": self.dedup.floors,
+            "condemned": len(self.condemned),
+        }
 
     def metrics_text(self) -> str:
         """Prometheus 0.0.4 exposition (the ``/metrics`` provider)."""
-        for group in self.groups.values():
-            self._watch_latency(group)  # fold rounds closed since last scrape
-        self._g_clients.set(len(self.clients))
-        self._g_groups.set(
-            sum(1 for g in self.groups.values() if not g.done)
-        )
+        for key, value in self.gauges().items():
+            self._m_gauges[key].set(value)
         return self.registry.render_prometheus()
 
     def health(self) -> dict[str, Any]:
         return {
             "status": "draining" if self._draining else "running",
             "uptime_s": time.monotonic() - self._started,
-            "clients": len(self.clients),
+            **self.gauges(),
             "groups": len(self.groups),
-            "groups_active": sum(
-                1 for g in self.groups.values() if not g.done
-            ),
-            "condemned": sorted(self.condemned),
+            "condemned": sorted(self.condemned),  # the ids, not the count
             "stats": dict(self.stats),
         }
 
@@ -244,24 +286,27 @@ class ServeDaemon:
         }
 
     def outcomes(self) -> dict[str, Any]:
-        """Deterministic per-group outcome slice (replay digests)."""
+        """Deterministic per-group outcome slice (replay digests), live
+        groups and retained done-records alike."""
         return {
             name: g.outcome() for name, g in sorted(self.groups.items())
         }
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> "ServeDaemon":
+        loop = asyncio.get_running_loop()
         if self.config.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, self.config.unix_path
+            self._server = await loop.create_unix_server(
+                lambda: _ClientConn(self), self.config.unix_path
             )
             self.address = f"unix://{self.config.unix_path}"
         else:
-            self._server = await asyncio.start_server(
-                self._on_connection, self.config.host, self.config.port
+            self._server = await loop.create_server(
+                lambda: _ClientConn(self), self.config.host, self.config.port
             )
             port = self._server.sockets[0].getsockname()[1]
             self.address = f"tcp://{self.config.host}:{port}"
+        self._lease_task = asyncio.ensure_future(self._lease_loop())
         if self.config.obs_port is not None:
             from repro.obs.http import ObsHttpServer
 
@@ -302,20 +347,16 @@ class ServeDaemon:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for conn in list(self.clients.values()):
-            self.send(conn.client, SHUTDOWN, {})
-        # Let the writers flush the shutdown notice.
-        await asyncio.sleep(0)
-        for group in self.groups.values():
+        if self._lease_task is not None:
+            self._lease_task.cancel()
+            self._lease_task = None
+        for client, conn in list(self.clients.items()):
+            self.send(client, SHUTDOWN, {})
+            conn.close()
+        for group in self._live_groups():
             await group.stop()
-        for conn in list(self.clients.values()):
-            conn.offer(None) or conn.close()  # sentinel ends the writer
-        for conn in list(self.clients.values()):
-            if conn.task is not None:
-                try:
-                    await asyncio.wait_for(conn.task, timeout=1.0)
-                except (asyncio.TimeoutError, asyncio.CancelledError):
-                    conn.close()
+        # One turn of the loop: the transports' hang-ups run.
+        await asyncio.sleep(0)
         self.clients.clear()
         if self._obs is not None:
             await self._obs.stop()
@@ -351,88 +392,60 @@ class ServeDaemon:
         return False
 
     # -- inbound -------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats["connections"] += 1
-        decoder = FrameDecoder()
-        conn: _ClientConn | None = None
-        try:
-            while not self._draining:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for body in decoder.feed(chunk):
-                    conn = self._on_frame(conn, body, writer)
-                    if conn is _CLOSE:
-                        return
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except FrameError:
-            # Unframeable bytes: the stream cannot resync; drop it.
-            self._quarantine("framing")
-        finally:
-            if isinstance(conn, _ClientConn):
-                self._detach(conn)
-            else:
-                writer.close()
-
-    def _on_frame(
-        self,
-        conn: "_ClientConn | None",
-        body: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> Any:
-        """Decode, validate, dedup and route one frame.  Returns the
-        (possibly newly bound) connection, or :data:`_CLOSE`."""
+    def _on_frame(self, conn: _ClientConn, body: bytes) -> None:
+        """Decode, validate, dedup and route one frame; a connection
+        that must go is closed here."""
         try:
             msg = Message.from_bytes(body, strict=True)
         except FrameError:
             self._quarantine("decode")
-            if conn is not None:
+            if conn.client is not None:
                 self._strike(conn.client)
-            return conn
-        if conn is None:
-            return self._handle_hello(msg, writer)
+            return
+        if conn.client is None:
+            self._handle_hello(conn, msg)
+            return
         if msg.src != conn.client:
             # The session is bound; an envelope claiming another id is
             # a spoof attempt from an authenticated client.
             self._quarantine("src-spoof")
             self._strike(conn.client)
-            return conn
+            return
         if conn.client in self.condemned:
             self._quarantine("condemned")
-            return _CLOSE
+            conn.close()
+            return
         if not self.dedup.accept(msg.src, msg.incarnation, msg.seq):
             self.stats["dup_filtered"] += 1
-            return conn
+            return
+        conn.last_seen = time.monotonic()
         self.stats["frames"] += 1
         self._m_frames.inc(kind=msg.kind)
         self._route(conn, msg)
-        return conn
 
-    def _handle_hello(
-        self, msg: Message, writer: asyncio.StreamWriter
-    ) -> Any:
-        """The first frame on a connection must bind a client id."""
+    def _handle_hello(self, conn: _ClientConn, msg: Message) -> None:
+        """The first frame on a connection must bind a client id; a
+        connection that does not is hung up on without a word."""
+        refusal = None
         if msg.kind != HELLO:
-            self._quarantine("no-hello")
-            return _CLOSE
-        reason = check_hello(msg.payload, self.config.max_clients)
-        if reason is not None:
-            self._quarantine("bad-hello")
-            return _CLOSE
+            refusal = "no-hello"
+        elif check_hello(msg.payload, self.config.max_clients) is not None:
+            refusal = "bad-hello"
+        elif msg.payload["client"] in self.condemned:
+            refusal = "condemned"
+        if refusal is not None:
+            self._quarantine(refusal)
+            conn.close()
+            return
         client = msg.payload["client"]
-        if client in self.condemned:
-            self._quarantine("condemned")
-            return _CLOSE
         existing = self.clients.get(client)
         if existing is not None:
             if msg.incarnation <= existing.incarnation and not existing.closed:
                 # A duplicate live session for the same id: refuse the
                 # newcomer (an id thief, or a client bug).
                 self._quarantine("duplicate-client")
-                return _CLOSE
+                conn.close()
+                return
             # Crash-restart: the bumped incarnation supersedes the dead
             # session, and the old life's replayed frames are floored.
             existing.close()
@@ -440,41 +453,35 @@ class ServeDaemon:
             self.dedup.forget_older_incarnations(client, msg.incarnation)
         if not self.dedup.accept(msg.src, msg.incarnation, msg.seq):
             self.stats["dup_filtered"] += 1
-            return _CLOSE
-        conn = _ClientConn(
-            client, msg.incarnation, writer, self.config.outbox_depth
-        )
-        conn.task = asyncio.ensure_future(conn.drain_loop())
+            conn.close()
+            return
+        conn.client, conn.incarnation = client, msg.incarnation
         self.clients[client] = conn
+        self._gone.pop(client, None)
         self.stats["frames"] += 1
         self._m_frames.inc(kind=HELLO)
         self.send(client, WELCOME, {"v": SERVE_VERSION, "inc": msg.incarnation})
-        return conn
 
     def _route(self, conn: _ClientConn, msg: Message) -> None:
+        client = msg.src  # == conn.client, checked by the caller
         rid = msg.payload.get("rid")
         if msg.kind == BYE:
-            self.send(conn.client, GOODBYE, {"rid": rid})
-            conn.offer(None)
-            return
-        if msg.kind == HELLO:
+            self.send(client, GOODBYE, {"rid": rid})
+            conn.close()
+        elif msg.kind == HELLO:
             # Idempotent re-hello on a bound session.
-            self.send(
-                conn.client, WELCOME, {"v": SERVE_VERSION, "inc": msg.incarnation}
-            )
-            return
-        if msg.kind == CREATE:
-            self._handle_create(conn, msg, rid)
-            return
-        if msg.kind in (JOIN, LEAVE, ARRIVE):
-            self._handle_group_frame(conn, msg, rid)
-            return
-        self._quarantine("unknown-kind")
-        self._strike(conn.client)
+            self.send(client, WELCOME, {"v": SERVE_VERSION, "inc": msg.incarnation})
+        elif msg.kind == CREATE:
+            self._handle_create(client, msg, rid)
+        elif msg.kind in (JOIN, LEAVE, ARRIVE):
+            self._handle_group_frame(client, msg, rid)
+        else:
+            self._quarantine("unknown-kind")
+            self._strike(client)
 
-    def _handle_create(self, conn: _ClientConn, msg: Message, rid: Any) -> None:
+    def _handle_create(self, client: int, msg: Message, rid: Any) -> None:
         if self._draining:
-            self._reject(conn.client, rid, "shutting-down")
+            self._reject(client, rid, "shutting-down")
             return
         name = msg.payload.get("g")
         capacity = msg.payload.get("capacity", self.config.default_capacity)
@@ -486,14 +493,14 @@ class ServeDaemon:
             or not 1 <= capacity <= self.config.max_members
             or not 1 <= barriers <= self.config.max_barriers
         ):
-            self._reject(conn.client, rid, "bad-request")
-            self._strike(conn.client)
+            self._reject(client, rid, "bad-request")
+            self._strike(client)
             return
         if name in self.groups:
-            self._reject(conn.client, rid, "group-exists")
+            self._reject(client, rid, "group-exists")
             return
-        if len(self.groups) >= self.config.max_groups:
-            self._reject(conn.client, rid, "server-full")
+        if len(self.groups) - len(self._retained) >= self.config.max_groups:
+            self._reject(client, rid, "server-full")
             return
         group = BarrierGroup(
             name,
@@ -505,47 +512,53 @@ class ServeDaemon:
                 lease_s=self.config.lease_s,
             ),
             on_strike=self._strike,
+            on_round=self._round_closed,
+            on_done=self._retire,
         )
         group.start()
         self.groups[name] = group
         self.send(
-            conn.client,
+            client,
             "g.ok",
             {"g": name, "rid": rid, "capacity": capacity, "barriers": barriers},
         )
 
-    def _handle_group_frame(
-        self, conn: _ClientConn, msg: Message, rid: Any
-    ) -> None:
+    def _handle_group_frame(self, client: int, msg: Message, rid: Any) -> None:
         name = msg.payload.get("g")
         if not check_group_name(name):
-            self._reject(conn.client, rid, "bad-request")
-            self._strike(conn.client)
+            self._reject(client, rid, "bad-request")
+            self._strike(client)
             return
         group = self.groups.get(name)
         if group is None:
-            self._reject(conn.client, rid, "no-such-group")
+            self._reject(client, rid, "no-such-group")
             return
         verb = {JOIN: "join", LEAVE: "leave", ARRIVE: "arrive"}[msg.kind]
         payload = dict(msg.payload)
         payload["inc"] = msg.incarnation
-        if not group.offer(conn.client, verb, payload):
+        if isinstance(group, DoneGroup):
+            group.answer(self.send, client, verb, payload)
+        elif not group.offer(client, verb, payload):
             # Transient: the group's inbox is full.  The client's
             # resend loop backs off and retries; no state was taken.
-            self._reject(conn.client, rid, "backpressure")
-        elif verb == "arrive":
-            self._watch_latency(group)
+            self._reject(client, rid, "backpressure")
 
-    def _watch_latency(self, group: BarrierGroup) -> None:
-        """Fold any newly closed round latencies into the histogram and
-        the per-group completion counter (cheap: amortized O(1))."""
-        recorded = getattr(group, "_latency_recorded", 0)
-        fresh = group.round_latencies[recorded:]
-        if fresh:
-            group._latency_recorded = recorded + len(fresh)  # type: ignore[attr-defined]
-            for value in fresh:
-                self._m_latency.observe(value)
-            self._m_completions.inc(len(fresh), group=group.name)
+    def _round_closed(self, group: str, latency: float) -> None:
+        self._m_latency.observe(latency)
+        self._m_completions.inc(group=group)
+
+    def _retire(self, record: DoneGroup) -> None:
+        """A group passed its last barrier: its record takes its place,
+        and the oldest record (with its ``/metrics`` series) goes."""
+        self.groups[record.name] = record
+        self._retained.append(record.name)
+        if len(self._retained) > DONE_RETAINED:
+            evicted = self._retained.popleft()
+            del self.groups[evicted]
+            self._m_completions.remove(group=evicted)
+
+    def _live_groups(self) -> list[BarrierGroup]:
+        return [g for g in self.groups.values() if isinstance(g, BarrierGroup)]
 
     # -- defense -------------------------------------------------------
     def _quarantine(self, reason: str) -> None:
@@ -559,26 +572,59 @@ class ServeDaemon:
         self._strikes[client] = count
         if count >= STRIKE_LIMIT and client not in self.condemned:
             self.condemned.add(client)
-            for group in self.groups.values():
+            for group in self._live_groups():
                 if client in group.members or client in group.ever_members:
                     group.eject(client, "condemned")
             conn = self.clients.get(client)
             if conn is not None:
                 self.send(client, REJECT, {"reason": "condemned"})
-                conn.offer(None)
+                conn.close()
         return count
 
     def _reject(self, client: int, rid: Any, reason: str) -> None:
         self.send(client, REJECT, {"rid": rid, "reason": reason})
 
     def _detach(self, conn: _ClientConn) -> None:
-        """A connection ended; the seat (if any) survives on its lease
-        so a crash-restart client can reclaim it."""
-        current = self.clients.get(conn.client)
-        if current is conn:
-            del self.clients[conn.client]
-        conn.close()
+        """A connection ended.  A seat survives on its lease so a
+        crash-restart client can reclaim it, and with it everything the
+        next life needs; without one nobody is coming back for this
+        session, and all that stays is the floor that refuses its
+        replay."""
+        client = conn.client
+        if client is None or self.clients.get(client) is not conn:
+            return  # never bound, or already superseded
+        del self.clients[client]
+        self._gone[client] = time.monotonic()  # last in: hello popped it
+        if not any(client in g.members for g in self._live_groups()):
+            self.dedup.forget_older_incarnations(client, conn.incarnation + 1)
+            self._seq.pop(client, None)
+            self._strikes.pop(client, None)
 
+    async def _lease_loop(self) -> None:
+        poll = max(self.config.lease_s / 4.0, 0.05)
+        while True:
+            await asyncio.sleep(poll)
+            self._expire(time.monotonic() - self.config.lease_s)
 
-#: Sentinel: the reader should drop the connection now.
-_CLOSE = object()
+    def _expire(self, deadline: float) -> None:
+        """The lease clock: forget sessions that ended before
+        ``deadline`` (floor, crash leftovers, condemnation) and hang up
+        on connections idle since then -- unless a seat still vouches
+        for them (the group's own lease evicts it first)."""
+        seated: set[int] = set().union(*(g.members for g in self._live_groups()))
+        expired = []
+        for client, since in self._gone.items():
+            if since >= deadline:
+                break
+            if client not in seated:
+                expired.append(client)
+        for client in expired:
+            del self._gone[client]
+            self.dedup.forget(client)
+            self._seq.pop(client, None)
+            self._strikes.pop(client, None)
+            self.condemned.discard(client)
+        for client, conn in list(self.clients.items()):
+            if conn.last_seen < deadline and client not in seated:
+                self.send(client, REJECT, {"reason": "idle"})
+                conn.close()

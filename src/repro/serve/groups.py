@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Any, Callable
 
 from repro.serve.protocol import STRIKE_LIMIT, check_round
 
@@ -64,6 +64,59 @@ class Member:
     last_seen: float = field(default_factory=time.monotonic)
 
 
+def _release_payload(name: str, barriers: int, r: int) -> dict[str, Any]:
+    return {"g": name, "round": r, "last": r >= barriers - 1}
+
+
+@dataclass(frozen=True)
+class DoneGroup:
+    """What a finished group leaves behind.
+
+    Only pure replies are left once every barrier is passed -- the
+    healing ``release`` for a late ``arrive``, ``group-done`` for a late
+    ``join`` -- and they are functions of these four fields, so the
+    inbox, the worker, the seats and the stats can all go.
+    """
+
+    name: str
+    barriers: int
+    round: int
+    result: dict[str, Any]      #: the group's final :meth:`BarrierGroup.outcome`
+
+    done = True
+
+    def answer(
+        self, send: SendFn, client: int, kind: str, payload: dict[str, Any]
+    ) -> None:
+        """Reply to one late frame, inline (nothing is queued)."""
+        if kind == "arrive":
+            # A member that lost its last release (crash, shed frame)
+            # resends until healed; anything else is not worth a word.
+            r = payload.get("round")
+            if check_round(r) and r < self.round:
+                send(client, "release", _release_payload(self.name, self.barriers, r))
+            return
+        reason = "group-done" if kind == "join" else "not-a-member"
+        send(
+            client,
+            "g.reject",
+            {"g": self.name, "rid": payload.get("rid"), "reason": reason},
+        )
+
+    def snapshot(self) -> dict[str, Any]:
+        """The ``/groups`` endpoint's view of a finished group."""
+        return {
+            "name": self.name,
+            "round": self.round,
+            "barriers": self.barriers,
+            "done": True,
+            "completed": self.result["completed"],
+        }
+
+    def outcome(self) -> dict[str, Any]:
+        return self.result
+
+
 class BarrierGroup:
     """One group: membership + rounds + a bounded worker-fed inbox."""
 
@@ -75,6 +128,8 @@ class BarrierGroup:
         limits: GroupLimits | None = None,
         on_strike: Callable[[int], int] | None = None,
         clock: Callable[[], float] = time.monotonic,
+        on_round: Callable[[str, float], None] | None = None,
+        on_done: Callable[[DoneGroup], None] | None = None,
     ) -> None:
         self.name = name
         self.barriers = barriers
@@ -84,11 +139,16 @@ class BarrierGroup:
         #: count so condemnation is global, not per-group.
         self._on_strike = on_strike or (lambda client: STRIKE_LIMIT)
         self._clock = clock
+        #: Told (name, first-arrive -> completion seconds) as each round
+        #: closes, and the record once the last has; nothing is kept here.
+        self._on_round = on_round
+        self._on_done = on_done
         self.round = 0
-        self.done = False
+        #: Set by the last round: what answers from then on.
+        self.record: DoneGroup | None = None
         self.members: dict[int, Member] = {}
-        #: (client, kind, payload) frames awaiting the worker.
-        self.inbox: asyncio.Queue[tuple[int, str, dict[str, Any]]] = (
+        #: (client, kind, payload) frames awaiting the worker; None ends it.
+        self.inbox: asyncio.Queue[tuple[int, str, dict[str, Any]] | None] = (
             asyncio.Queue(maxsize=self.limits.queue_depth)
         )
         self.stats = {
@@ -102,25 +162,21 @@ class BarrierGroup:
             "completions": 0,
             "backpressure": 0,
         }
-        #: Wall-clock round latencies (first arrive -> completion).
-        self.round_latencies: list[float] = []
         self._round_opened: float | None = None
         #: The deterministic outcome log (see module docstring).
         self.ejected: set[int] = set()
         self.rejected: list[tuple[int, str]] = []
         self.ever_members: set[int] = set()
         self._worker: asyncio.Task | None = None
-        self._waiter: Callable[[], Awaitable[None]] | None = None
 
     # -- admission (called from connection readers; synchronous) -------
     def offer(self, client: int, kind: str, payload: dict[str, Any]) -> bool:
         """Queue a frame for the worker; False = backpressure (the
         caller answers with a transient reject and the client's resend
-        loop retries).  A done group's worker has exited and only pure
-        replies are left (the healing ``release``, ``group-done``), so
-        those are answered inline."""
-        if self.done:
-            self.dispatch(client, kind, payload)
+        loop retries).  A done group's worker has exited, so its record
+        answers inline."""
+        if self.record is not None:
+            self.record.answer(self._send, client, kind, payload)
             return True
         try:
             self.inbox.put_nowait((client, kind, payload))
@@ -144,18 +200,17 @@ class BarrierGroup:
 
     async def _run(self) -> None:
         lease_poll = max(self.limits.lease_s / 4.0, 0.05)
-        while not self.done:
+        while True:
             try:
-                client, kind, payload = await asyncio.wait_for(
+                frame = await asyncio.wait_for(
                     self.inbox.get(), timeout=lease_poll
                 )
             except asyncio.TimeoutError:
                 self._evict_expired()
                 continue
-            self.dispatch(client, kind, payload)
-        # Frames queued behind the completing one still get their reply.
-        while not self.inbox.empty():
-            self.dispatch(*self.inbox.get_nowait())
+            if frame is None:
+                return  # _finish's wake-up: the record answers from here on
+            self.dispatch(*frame)
 
     def dispatch(self, client: int, kind: str, payload: dict[str, Any]) -> None:
         """Apply one frame to the group state (worker context)."""
@@ -182,9 +237,6 @@ class BarrierGroup:
                 member.incarnation = incarnation
                 member.arrived = self.round - 1
             self._reply_ok(client, rid, round=self.round)
-            return
-        if self.done:
-            self._reject(client, rid, "group-done")
             return
         if len(self.members) >= self.limits.capacity:
             self.stats["rejected_joins"] += 1
@@ -215,12 +267,8 @@ class BarrierGroup:
     def _handle_arrive(self, client: int, payload: dict[str, Any]) -> None:
         member = self.members.get(client)
         if member is None:
-            # Not a protocol crime: a just-evicted or just-done client's
-            # resend loop races its eviction.  Answer stale rounds so
-            # the loop terminates; ignore the rest.
-            r = payload.get("round")
-            if self.done and check_round(r) and r < self.round:
-                self._send(client, "release", self._release_payload(r))
+            # Not a protocol crime: a just-evicted client's resend loop
+            # races its eviction.
             return
         r = payload.get("round")
         if not check_round(r):
@@ -249,25 +297,40 @@ class BarrierGroup:
         r = self.round
         if not all(m.arrived >= r for m in self.members.values()):
             return
-        if self._round_opened is not None:
-            self.round_latencies.append(self._clock() - self._round_opened)
-            self._round_opened = None
+        opened, self._round_opened = self._round_opened, None
+        if opened is not None and self._on_round is not None:
+            self._on_round(self.name, self._clock() - opened)
         self.stats["completions"] += 1
         self.round = r + 1
-        if self.round >= self.barriers:
-            self.done = True
         payload = self._release_payload(r)
         for member in list(self.members.values()):
             self._send(member.client, "release", payload)
-        if self.done:
-            self.members.clear()
+        if self.round >= self.barriers:
+            self._finish()
+
+    @property
+    def done(self) -> bool:
+        return self.round >= self.barriers
+
+    def _finish(self) -> None:
+        """The last round closed: collapse to a :class:`DoneGroup`."""
+        self.members.clear()
+        record = self.record = DoneGroup(
+            self.name, self.barriers, self.round, self.outcome()
+        )
+        # Frames queued behind the completing one still get their reply.
+        while not self.inbox.empty():
+            frame = self.inbox.get_nowait()
+            assert frame is not None  # the only None is put below
+            record.answer(self._send, *frame)
+        if self._on_done is not None:
+            self._on_done(record)
+        # End the worker by a sentinel, not a cancel: a cancelled task
+        # keeps its CancelledError, whose traceback pins this group.
+        self.inbox.put_nowait(None)
 
     def _release_payload(self, r: int) -> dict[str, Any]:
-        return {
-            "g": self.name,
-            "round": r,
-            "last": r >= self.barriers - 1,
-        }
+        return _release_payload(self.name, self.barriers, r)
 
     # -- defense -------------------------------------------------------
     def _strike(self, client: int, reason: str) -> None:

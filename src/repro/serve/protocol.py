@@ -58,7 +58,7 @@ SHUTDOWN = "shutdown"    #: daemon is stopping; no further requests
 #: else is a terminal answer for that request.
 REASONS = (
     "group-full",        # admission: the group is at capacity
-    "server-full",       # admission: max_groups reached
+    "server-full",       # admission: max_groups live groups
     "no-such-group",     # join/leave/arrive against an unknown group
     "group-exists",      # create with a name already taken
     "group-done",        # the group already completed its barriers
@@ -67,6 +67,7 @@ REASONS = (
     "bad-request",       # schema-valid envelope, invalid verb payload
     "condemned",         # this client was ejected for misbehaviour
     "shutting-down",     # daemon is draining
+    "idle",              # seat-less and silent for a lease: hung up on
 )
 
 #: Provably-hostile frames from one authenticated client before it is

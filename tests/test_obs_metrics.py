@@ -42,6 +42,19 @@ class TestCounter:
         with pytest.raises(MetricsError, match="takes labels"):
             c.inc(pid=1, phase=2)
 
+    def test_remove_drops_one_label_set(self):
+        r = MetricsRegistry()
+        c = r.counter("done_total", "", ("group",))
+        c.inc(3, group="a")
+        c.inc(group="b")
+        c.remove(group="a")
+        c.remove(group="never-seen")  # idempotent
+        assert [name for name, _ in c.samples()] == ['done_total{group="b"}']
+        assert 'group="a"' not in r.render_prometheus()
+        assert c.value(group="a") == 0
+        with pytest.raises(MetricsError, match="takes labels"):
+            c.remove()
+
     def test_gauge_can_set_and_go_down(self):
         g = MetricsRegistry().gauge("temp", "")
         g.set(5.0)

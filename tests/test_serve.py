@@ -21,7 +21,7 @@ from repro.net.frames import Message, encode_frame
 from repro.obs.http import ObsHttpServer
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.groups import BarrierGroup
+from repro.serve.groups import BarrierGroup, DoneGroup
 from repro.serve.protocol import ARRIVE, SERVER_ID
 
 
@@ -307,6 +307,42 @@ def test_slow_group_backpressure_never_stalls_other_groups():
     run(go())
 
 
+def test_slow_reader_is_shed_past_its_outbox_bound():
+    """A peer that stops reading costs the daemon its transport buffer
+    plus ``outbox_depth`` frames, then its frames are shed (``send``
+    says so, nothing blocks); when it reads again it is served again."""
+
+    async def go():
+        daemon = await boot(outbox_depth=4)
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", daemon_port(daemon)
+        )
+        hello = Message(kind="hello", src=9, dst=SERVER_ID, seq=0,
+                        payload={"v": 1, "client": 9})
+        writer.write(encode_frame(hello.to_bytes()))
+        await asyncio.sleep(0.05)
+        conn = daemon.clients[9]
+        blob = {"g": "g", "round": 0, "pad": "x" * 16384}
+        sent = 0
+        while daemon.send(9, "release", blob):
+            sent += 1
+            assert sent < 5000, "never shed"
+        assert daemon.stats["shed_frames"] == 1
+        high_water = conn.transport.get_write_buffer_limits()[1]
+        backlog = conn.transport.get_write_buffer_size()
+        assert backlog <= high_water + (4 + 1) * 17000
+        assert not daemon.send(9, "release", blob)  # still shed, still instant
+        try:
+            while conn._backlog is not None:  # the peer catches up
+                await asyncio.wait_for(reader.read(1 << 20), timeout=5.0)
+            assert daemon.send(9, "release", blob)
+        finally:
+            writer.close()
+            await daemon.shutdown()
+
+    run(go())
+
+
 def test_done_group_answers_late_frames_inline():
     """A finished group has no worker left, so ``offer`` must answer
     instead of queueing: the healing ``release`` for a late ``arrive``
@@ -341,6 +377,19 @@ def test_done_group_answers_late_frames_inline():
             assert group.offer(2, "arrive", {"round": 1})
         assert group.inbox.qsize() == 0
         assert group.stats["backpressure"] == 0
+        # The record alone gives the same answers (what the daemon keeps).
+        del sent[:]
+        record = group.record
+        record.answer(group._send, 2, "arrive", {"round": 1})
+        record.answer(group._send, 2, "arrive", {"round": 2})  # not stale: silence
+        record.answer(group._send, 3, "join", {"rid": 7})
+        record.answer(group._send, 2, "leave", {"rid": 8})
+        assert sent == [
+            (2, "release", {"g": "g", "round": 1, "last": True}),
+            (3, "g.reject", {"g": "g", "rid": 7, "reason": "group-done"}),
+            (2, "g.reject", {"g": "g", "rid": 8, "reason": "not-a-member"}),
+        ]
+        assert record.outcome() == group.outcome()
 
     run(go())
 
@@ -374,7 +423,11 @@ def test_late_frames_to_done_group_answered_over_socket():
             with pytest.raises(ServeClientError) as err:
                 await late.join("g")
             assert err.value.reason == "group-done"
-            assert daemon.groups["g"].snapshot()["inbox_depth"] == 0
+            reply = await late.create("g", capacity=2, barriers=2)
+            assert reply["reason"] == "group-exists"
+            # What answered is the record: there is no inbox to hold a frame.
+            assert isinstance(daemon.groups["g"], DoneGroup)
+            assert "inbox_depth" not in daemon.groups["g"].snapshot()
         finally:
             for c in (a, b, late):
                 await c.close()

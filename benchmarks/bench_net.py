@@ -32,13 +32,21 @@ What *is* gated:
     :data:`SHARD_HEADLINE_SPEEDUP` x the barrier throughput of the
     single-loop socket runtime.  Both sides send exactly the
     protocol's 3(n-1) frames a round and resend nothing (the 0.4 s
-    timer is never crossed); the ratio is what one thread paying a
-    write syscall per message costs against eight loops on batched
-    links -- measured 2.3-3.4x on the 2-core build box (the committed
-    ``BENCH_net.json`` has 3.35x: 0.19 s vs 0.057 s a round).
-    ``--quick`` runs a smaller n=64 x 10 point and only sanity-gates
-    the ratio (>= :data:`QUICK_MIN_RATIO`): a tenth of a second of
-    protocol wall is too short to hold a floor to.
+    timer is never crossed), and since ``TcpTransport`` writes each
+    link once per loop turn both sides batch their writes.  What the
+    ratio measures now is parallelism: eight loops that each carry 32
+    nodes, on however many cores the box has, against one loop that
+    carries all 256 on one core.  On the 2-core build box the ceiling
+    of that is 2x plus whatever the shorter per-loop queues give back
+    (measured 2.15-2.92x: 0.87-1.92 s vs 0.40-0.66 s for 20 rounds;
+    while the single loop paid a write syscall per message it was
+    2.5-3.4x, both sides slower: 1.8 s vs 0.7 s).  The floor is what
+    two cores against one can be held to on a noisy box, not the best
+    case; both absolute walls are in the report, which is where a
+    slow-down of either side shows.  ``--quick`` runs a smaller
+    n=64 x 10 point and only sanity-gates the ratio (>=
+    :data:`QUICK_MIN_RATIO`): a tenth of a second of protocol wall is
+    too short to hold a floor to.
 
 The full run also records the scale curve -- sharded barrier latency /
 throughput at n=64, 256 and 1024 (the 1024-node acceptance topology:
@@ -67,7 +75,7 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BASELINE_net.json"
 
 #: Within-run ratio gates (see module docstring).
 ENCODER_MIN_RATIO = 1.05
-SHARD_HEADLINE_SPEEDUP = 2.0
+SHARD_HEADLINE_SPEEDUP = 1.3
 QUICK_MIN_RATIO = 0.6
 
 #: The n=16 replay workload: drop + delay + dup + two crash-restarts.
@@ -218,11 +226,11 @@ def _throughput_point(
 def bench_headline(quick: bool) -> dict:
     """Sharded vs single-loop sockets at n=256 (n=64 when ``quick``).
 
-    The single-loop side runs the plain socket transport (one write
-    syscall per protocol message -- the deployment baseline the batched
-    shard links amortize); the sharded side runs the same node count
-    over process shards.  Both sides share :data:`HEADLINE_TIMING`, so
-    the ratio measures the runtime, not the knobs.
+    The single-loop side runs the plain socket transport (every node
+    in one loop, one write per link per loop turn); the sharded side
+    runs the same node count over process shards.  Both sides share
+    :data:`HEADLINE_TIMING`, so the ratio measures the runtime, not the
+    knobs.
     """
     if quick:
         nodes, barriers, shards, timeout_s = 64, 10, 4, 60.0
@@ -405,7 +413,7 @@ def main(argv: list[str]) -> int:
         "--quick",
         action="store_true",
         help="n=64 headline with a sanity floor instead of the n=256 "
-        "2x gate; skips the 1024-node curve point",
+        "gate; skips the 1024-node curve point",
     )
     parser.add_argument(
         "--update-baseline",

@@ -337,8 +337,4 @@ class MBRingNode(NetNode):
                 return
             if changed:
                 await self._push()
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), interval)
-            except asyncio.TimeoutError:
-                pass
+            await self._wake.wait(interval)

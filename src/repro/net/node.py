@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Coroutine, Mapping
 
 from repro.net.frames import DedupIndex, FrameError, LamportClock, Message
-from repro.net.transport import Transport, TransportClosed
+from repro.net.transport import Signal, Transport, TransportClosed
 from repro.obs.tracer import NullTracer, Tracer, ensure_tracer
 
 #: Message kind -> the integer tag used for traced msg_send/msg_recv.
@@ -104,7 +104,9 @@ class NetNode:
         self.incarnation = 0
         self._seq: dict[int, int] = {}
         self._tasks: set[asyncio.Task] = set()
-        self._wake = asyncio.Event()
+        self._wake = Signal()
+        #: Live ``send_until`` calls: each one's wake-up -> its predicate.
+        self._unacked: dict[Signal, Callable[[], bool]] = {}
         self._running = True
         #: Highest incarnation seen per peer (survives our own crash so
         #: detect events stay exactly-once per restart).
@@ -140,6 +142,11 @@ class NetNode:
             "crashes": 0,
             "quarantined": 0,
             "strikes": 0,
+            # Gauges of ``send_until`` calls (timing-dependent, so in no
+            # digest): most alive at once, and still waiting on their
+            # predicate when the main coroutine ended.
+            "senders_peak": 0,
+            "senders_open": 0,
         }
 
     # -- task management -----------------------------------------------
@@ -201,27 +208,48 @@ class NetNode:
         done: Callable[[], bool],
     ) -> None:
         """Resend ``kind`` to ``dst`` with bounded exponential backoff
-        until ``done()`` -- the runtime's only reliability primitive."""
+        until ``done()`` -- the runtime's only reliability primitive.
+
+        ``_notify`` ends the sleep the moment ``done()`` holds, so a
+        sender retires on its ack, not a resend interval after it.
+        """
         delay = self.timing.resend
         first = True
-        while self._running and not done():
-            await self.send_msg(dst, kind, payload)
-            if not first:
-                self.stats["resends"] += 1
-            first = False
-            await asyncio.sleep(delay)
-            delay = min(delay * self.timing.backoff, self.timing.resend_max)
+        acked = Signal()
+        self._unacked[acked] = done
+        if len(self._unacked) > self.stats["senders_peak"]:
+            self.stats["senders_peak"] = len(self._unacked)
+        try:
+            while self._running and not done():
+                await self.send_msg(dst, kind, payload)
+                if not first:
+                    self.stats["resends"] += 1
+                first = False
+                # ``done`` may have come true while the send waited.
+                if done() or await acked.wait(delay):
+                    return
+                delay = min(delay * self.timing.backoff, self.timing.resend_max)
+        finally:
+            del self._unacked[acked]
+
+    def _notify(self) -> None:
+        """Protocol state moved: retire the senders it satisfies, then
+        wake the main coroutine."""
+        for acked, done in self._unacked.items():
+            if done():
+                acked.set()
+        self._wake.set()
+
+    def senders_open(self) -> int:
+        return sum(not done() for done in self._unacked.values())
 
     # -- receiving -----------------------------------------------------
     async def _recv_loop(self) -> None:
         while self._running:
             try:
-                item = await self.transport.recv(timeout=self.timing.hb_interval)
+                src, body = await self.transport.recv()  # until ``stop`` cancels
             except TransportClosed:
                 return
-            if item is None:
-                continue
-            src, body = item
             # Any frame on this channel -- even garbage -- proves the
             # channel peer's process is alive (a permanently-crashed
             # node sends nothing at all), so it feeds silence tracking.
@@ -262,7 +290,7 @@ class NetNode:
                     tag=KIND_TAGS.get(msg.kind, 0),
                 )
             if self._handle_system(msg):
-                self._wake.set()
+                self._notify()
                 continue
             if self.defense:
                 reason = self.validate_msg(msg)
@@ -271,7 +299,7 @@ class NetNode:
                     self._strike(src)
                     continue
             self.handle(msg)
-            self._wake.set()
+            self._notify()
 
     def handle(self, msg: Message) -> None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -340,7 +368,7 @@ class NetNode:
 
     def _enter_failsafe(self) -> None:
         if self.failsafe:
-            self._wake.set()
+            self._notify()
             return
         self.failsafe = True
         for nb in self.neighbors():
@@ -352,7 +380,7 @@ class NetNode:
                     lambda nb=nb: self._fsafe_acked.get(nb, False),
                 )
             )
-        self._wake.set()
+        self._notify()
 
     def _handle_system(self, msg: Message) -> bool:
         """Base-layer kinds (the fail-safe flood); True when consumed."""
@@ -459,18 +487,19 @@ class NetNode:
 
     # -- waiting -------------------------------------------------------
     async def wait_for(
-        self, cond: Callable[[], bool], poll: float = 0.25
-    ) -> None:
-        """Block until ``cond()`` holds; woken by message arrival, with
-        a poll fallback against lost wakeups."""
+        self, cond: Callable[[], bool], poll: float = 0.25, timeout: float | None = None
+    ) -> bool:
+        """Block until ``cond()`` holds (True) or ``timeout`` seconds
+        have passed (False); woken by message arrival, with a poll
+        fallback against lost wakeups."""
+        deadline = None if timeout is None else self._now() + timeout
         while not cond():
-            self._wake.clear()
-            if cond():
-                return
-            try:
-                await asyncio.wait_for(self._wake.wait(), poll)
-            except asyncio.TimeoutError:
-                pass
+            if deadline is not None:
+                poll = min(poll, deadline - self._now())
+                if poll <= 0:
+                    return False
+            await self._wake.wait(poll)
+        return True
 
     # -- crash-restart -------------------------------------------------
     def reset_volatile(self) -> None:

@@ -233,9 +233,13 @@ class NetResult:
         if self.link_stats:
             pretty = " ".join(f"{k}={v}" for k, v in sorted(self.link_stats.items()))
             lines.append(f"  link: {pretty}")
-        resends = sum(s.get("resends", 0) for s in self.node_stats.values())
-        dups = sum(s.get("dup_filtered", 0) for s in self.node_stats.values())
-        lines.append(f"  reliability: resends={resends} dup_filtered={dups}")
+        lines.append(
+            "  reliability: "
+            + " ".join(
+                f"{key}={sum(s.get(key, 0) for s in self.node_stats.values())}"
+                for key in ("resends", "dup_filtered", "senders_peak", "senders_open")
+            )
+        )
         for v in self.violations:
             lines.append(f"  VIOLATION {v}")
         lines.append("RESULT: " + ("PASS" if self.ok else "FAIL"))
@@ -337,13 +341,15 @@ def _wrap_faulty(
     }
 
 
-async def _then(main: Any, done: Callable[[int], None], pid: int) -> None:
+async def _then(node: Any, main: Any, done: Callable[[int], None] | None) -> None:
     try:
         await main
     finally:
+        node.stats["senders_open"] = node.senders_open()
         # A finished (or cancelled) node must stop gating the streaming
         # merge watermark.
-        done(pid)
+        if done is not None:
+            done(node.node_id)
 
 
 async def _run_group(
@@ -368,7 +374,7 @@ async def _run_group(
     mains = []
     for pid in ports:
         nodes[pid], main = build_node(pid, transports[pid], tracers[pid])
-        mains.append(main if on_done is None else _then(main, on_done, pid))
+        mains.append(_then(nodes[pid], main, on_done))
 
     wall_start = _time.perf_counter()
     gathered = asyncio.gather(*mains)

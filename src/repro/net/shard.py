@@ -24,8 +24,8 @@ level with at least ``shards`` subtree roots (whole subtrees stay
 together and sibling roots are split only for the shards that would
 otherwise sit empty, so only O(shards) edges cross), the ring is cut into
 contiguous arcs (exactly ``shards`` cross edges).  In-shard traffic
-rides :class:`~repro.net.transport.MemTransport` queues, as in the
-single-loop runtime; cross-shard traffic rides one
+goes straight into the destination's inbox, as in the single-loop
+runtime's :class:`~repro.net.transport.MemTransport`; cross-shard traffic rides one
 :class:`ShardLink` per shard pair -- a Unix-domain (or TCP) socket
 carrying length-prefixed *routing records* (``(src, dst)`` header +
 frame body, :func:`~repro.net.frames.pack_record`).  Links batch: a
@@ -252,12 +252,12 @@ class ShardLink:
 
 
 class ShardFabric:
-    """One worker's switch: local queues + links + the link listener.
+    """One worker's switch: local ports + links + the link listener.
 
     Routing is record-addressed -- every cross-shard frame carries its
     ``(src, dst)`` header -- so the listener needs no HELLO handshake:
     any peer's batched stream demultiplexes straight into the local
-    per-node queues.
+    nodes' inboxes.
     """
 
     def __init__(
@@ -269,7 +269,7 @@ class ShardFabric:
     ) -> None:
         self.shard_id = shard_id
         self.partition = partition
-        #: With :attr:`queues`, the hub interface of
+        #: With :attr:`ports`, the hub interface of
         #: :class:`~repro.net.transport.MemTransport`.
         self.nprocs = len(partition)
         self.batch_bytes = batch_bytes
@@ -277,9 +277,7 @@ class ShardFabric:
         self.local_pids = [
             pid for pid, shard in enumerate(partition) if shard == shard_id
         ]
-        self.queues: dict[int, asyncio.Queue[tuple[int, bytes]]] = {
-            pid: asyncio.Queue() for pid in self.local_pids
-        }
+        self.ports = {pid: ShardTransport(pid, self) for pid in self.local_pids}
         self.links: dict[int, ShardLink] = {}
         self.address: str | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -323,19 +321,15 @@ class ShardFabric:
                     break
                 for frame in decoder.feed(chunk):
                     src, dst, body = unpack_record(frame)
-                    queue = self.queues.get(dst)
-                    if queue is not None:  # else: stale route, drop
-                        queue.put_nowait((src, body))
+                    port = self.ports.get(dst)
+                    if port is not None:  # else: stale route, drop
+                        port.deliver(src, body)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
             pass
         finally:
             writer.close()
-
-    # -- node ports ----------------------------------------------------
-    def transports(self) -> dict[int, "ShardTransport"]:
-        return {pid: ShardTransport(pid, self) for pid in self.local_pids}
 
     async def close(self) -> None:
         if self._closed:
@@ -474,7 +468,7 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
         # Epoch-relative wall clock: one timeline for partition windows
         # across every worker (sub-ms skew; windows are seconds-wide).
         report = await _run_group(
-            config, fabric.transports(), lambda: _time.time() - epoch, tracers
+            config, fabric.ports, lambda: _time.time() - epoch, tracers
         )
     finally:
         loop.remove_reader(conn.fileno())

@@ -369,15 +369,10 @@ class TreeBarrierNode(NetNode):
             return
         # Let the final release wave settle (bounded; acks normally
         # arrive within one resend interval).
-        try:
-            await asyncio.wait_for(
-                self.wait_for(
-                    lambda: all(
-                        self._release_acked.get(c, -1) >= self.barriers - 1
-                        for c in self.children
-                    )
-                ),
-                self.timing.finish_timeout,
-            )
-        except asyncio.TimeoutError:
-            pass
+        await self.wait_for(
+            lambda: all(
+                self._release_acked.get(c, -1) >= self.barriers - 1
+                for c in self.children
+            ),
+            timeout=self.timing.finish_timeout,
+        )

@@ -10,6 +10,12 @@ argument (or is a method partial-applied to the value); append
 ``# late-binding-ok: <reason>`` to the closure's first line to claim a
 deliberate exception.  Scanner and tree scan live together here, in the
 style of conftest's seed-pinning gate.
+
+A second rule for the net runtime's frame path (``PER_FRAME`` below):
+``asyncio.wait_for`` wraps what it waits on in a fresh Task, so a timed
+wait there goes through ``repro.net.transport.Signal`` (a future and a
+timer handle).  A run-level timeout -- one per run, not per frame or
+round -- may claim ``# wait-for-ok: <reason>``.
 """
 
 from __future__ import annotations
@@ -80,6 +86,55 @@ def late_bound_closures(source: str) -> list[tuple[int, str]]:
             if isinstance(node, _CLOSURES) and ESCAPE not in lines[node.lineno - 1]:
                 found.update((node.lineno, name) for name in _reads(node) & assigned)
     return sorted(found)
+
+
+WAIT_ESCAPE = "wait-for-ok:"
+PER_FRAME = ("node", "transport", "mbnode", "tree")
+
+
+def task_per_wait_calls(source: str) -> list[int]:
+    """Line numbers of ``asyncio.wait_for(...)`` / bare ``wait_for(...)``
+    calls (a method called ``wait_for`` is somebody else's)."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        hit = (isinstance(f, ast.Name) and f.id == "wait_for") or (
+            isinstance(f, ast.Attribute)
+            and f.attr == "wait_for"
+            and isinstance(f.value, ast.Name)
+            and f.value.id == "asyncio"
+        )
+        if hit and WAIT_ESCAPE not in lines[node.lineno - 1]:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_frame_path_waits_cost_no_task():
+    findings = [
+        f"src/repro/net/{name}.py:{lineno}"
+        for name in PER_FRAME
+        for lineno in task_per_wait_calls((SRC / "net" / f"{name}.py").read_text())
+    ]
+    assert not findings, (
+        "asyncio.wait_for on the net frame path creates a Task per wait (use "
+        f"Signal.wait, or mark a run-level timeout '# {WAIT_ESCAPE} <reason>'):\n  "
+        + "\n  ".join(findings)
+    )
+
+
+def test_wait_scanner():
+    src = (
+        "async def f(self):\n"
+        "    await asyncio.wait_for(q.get(), 1)\n"
+        "    await wait_for(\n"
+        "        ev.wait(), 1)\n"
+        "    await self.wait_for(cond)\n"
+        f"    await asyncio.wait_for(run(), 60)  # {WAIT_ESCAPE} once per run\n"
+    )
+    assert task_per_wait_calls(src) == [2, 3]
 
 
 def test_gated_packages_bind_loop_state_by_value():

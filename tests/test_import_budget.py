@@ -4,9 +4,19 @@ One fresh interpreter per entry point, asserting on **counts, not
 timings**: the heavy third-party packages and the simulation engines
 stay out of ``sys.modules``, the module count stays under a recorded
 ceiling (the eager ``__init__``s loaded ~700 modules for any of these;
-the dependency cones measure 86-196 on CPython 3.11), and running a first job afterwards
-loads no further ``repro.*``/numpy/networkx module -- nothing was merely
-deferred into first use.  See DESIGN.md, "Import layering".
+the dependency cones measure 85-195 after import on CPython 3.11.7), and
+running a first job afterwards loads no further ``repro.*``/numpy/networkx
+module -- nothing was merely deferred into first use.  See DESIGN.md,
+"Import layering".
+
+Counts are taken from a bare start: the child runs under ``-S`` with the
+site directories on ``PYTHONPATH``, and the probe imports ``site`` itself,
+without running its hooks.  ``.pth`` files, ``sitecustomize`` and
+``usercustomize`` belong to the environment, not to an entry point.  The
+measured quantity is still the whole ``sys.modules`` -- the same set a
+start-up without hooks has, ``site`` and ``_sitebuiltins`` included --
+not a difference of snapshots, which would stop counting a cone module
+whenever some hook had already loaded it.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import site
 import subprocess
 import sys
 import textwrap
@@ -124,7 +135,7 @@ ENTRY_POINTS = {
 }
 
 PROBE = """
-import json, sys
+import json, site, sys
 
 def snapshot():
     return sorted(sys.modules)
@@ -136,11 +147,25 @@ print(json.dumps({{"after_import": after_import, "after_job": snapshot()}}))
 """
 
 
-def _probe(imports: str, job: str | None = None) -> dict[str, list[str]]:
+def _site_dirs() -> list[str]:
+    """Where a normal start-up would find installed packages."""
+    dirs = list(site.getsitepackages())
+    if site.ENABLE_USER_SITE:
+        dirs.append(site.getusersitepackages())
+    return dirs
+
+
+def _probe(
+    imports: str, job: str | None = None, path: list[str] | None = None
+) -> dict[str, list[str]]:
+    """Module names after ``imports`` and after ``job``, in a child started
+    bare: ``-S`` runs no ``.pth`` file, ``sitecustomize`` or ``usercustomize``;
+    ``path`` goes on ``PYTHONPATH`` after ``src``, before the site dirs."""
     code = PROBE.format(imports=imports, job=textwrap.dedent(job or ""))
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    entries = [str(SRC), *(path or ()), *_site_dirs()]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(entries)}
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         env=env,
@@ -193,6 +218,16 @@ def test_positive_control_exponential_schedule_does_load_numpy():
     seen = _probe("import repro.gc")
     assert not _loaded(seen["after_import"], "numpy")
     assert "repro.gc.scheduler" not in seen["after_import"]
+
+
+def test_probe_runs_no_start_up_hook(tmp_path):
+    # A hook on the probe's path is the environment's, not the cone's:
+    # a normal start-up would import it before the entry point.
+    (tmp_path / "sitecustomize.py").write_text("import tempfile\n")
+    seen = _probe("import repro.obs", path=[str(tmp_path)])
+    assert "sitecustomize" not in seen["after_import"]
+    # ``site`` itself is counted, as at a normal start-up.
+    assert {"site", "_sitebuiltins"} <= set(seen["after_import"])
 
 
 def _module_level_imports(tree: ast.Module) -> list[str]:

@@ -7,13 +7,15 @@ Two roles (mirroring ``bench_net.py``):
   corruption + forge + Byzantine + permanent-crash run replays
   digest-identically (twice, and sharded vs single-loop) and ends in a
   fail-safe stop with zero violations;
-* as a script (``python benchmarks/bench_adversarial.py``), runs the
-  full workload set, writes ``BENCH_adversarial.json`` at the repo
-  root, and exits non-zero if a within-run gate fails.
+* as a script (``python benchmarks/bench_adversarial.py``), runs
+  :data:`SUITE` through :func:`repro.perf.gate.main`: writes
+  ``BENCH_adversarial.json`` at the repo root and exits non-zero if a
+  row fails.
 
-All gates are within-run (machine-independent); there is no committed
-baseline file.  Wall-clock numbers -- the defense tax, quarantine
-throughput under hostile pressure -- are recorded, never gated:
+All rows (:data:`ROWS`) are within-run (machine-independent); there is
+no committed baseline file.  Wall-clock numbers -- the defense tax,
+quarantine throughput under hostile pressure -- are recorded, never
+gated:
 
 * **replay**: the adversarial digest is a pure function of
   (plan, config) -- equal across two runs and across the process-shard
@@ -28,7 +30,6 @@ throughput under hostile pressure -- are recorded, never gated:
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -38,9 +39,7 @@ if __name__ == "__main__":  # script mode: make src/ importable
 
 from repro.chaos.plan import FaultEvent, FaultPlan, LinkPlan
 from repro.net import NetConfig, run_sync
-from repro.obs.regress import GateCheck, GateResult, write_report
-
-OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_adversarial.json"
+from repro.perf.gate import Row, Suite, main
 
 #: The canonical adversarial schedule (also pinned by
 #: ``tests/test_adversarial_net.py`` and the CI ``byzantine-quick``
@@ -77,16 +76,18 @@ def bench_adversarial_replay() -> dict:
     second = run_sync(_adversarial_config())
     sharded = run_sync(_adversarial_config(shards=2))
     runs = (first, second, sharded)
+    violations = sum(len(r.violations) for r in runs)
     return {
         "deterministic": {
             "digest": first.digest,
-            "all_fail_safe": all(r.ok and r.failsafe_stop for r in runs),
+            "fail_safe": all(r.ok and r.failsafe_stop for r in runs),
         },
         "ratios": {
-            "replays": float(first.digest == second.digest),
-            "sharded_equals_single": float(first.digest == sharded.digest),
-            "violations": float(sum(len(r.violations) for r in runs)),
+            "replays": first.digest == second.digest,
+            "sharded_equals_single": first.digest == sharded.digest,
+            "no_violations": violations == 0,
         },
+        "info": {"violations": violations},
         "wall": {
             "single_s": first.wall_s,
             "sharded_s": sharded.wall_s,
@@ -165,80 +166,30 @@ def bench_hostile_pressure() -> dict:
         )
     return {
         "deterministic": {"replay_stable": stable, "all_clean": clean},
-        "ratios": {},
         "info": {"points": points},
     }
 
 
-def measure(repeats: int = 3) -> dict:
+def measure(repeats: int = 3, quick: bool = False) -> dict:
     return {
-        "version": 1,
-        "workloads": {
-            "replay": bench_adversarial_replay(),
-            "defense_tax": bench_defense_tax(repeats),
-            "pressure": bench_hostile_pressure(),
-        },
+        "replay": bench_adversarial_replay(),
+        "defense": bench_defense_tax(repeats),
+        "pressure": bench_hostile_pressure(),
     }
 
 
-# ---------------------------------------------------------------------------
-# Gates (within-run only)
-# ---------------------------------------------------------------------------
+ROWS = (
+    Row("replay.replays", "==", True),
+    Row("replay.sharded_equals_single", "==", True),
+    Row("replay.fail_safe", "==", True),
+    Row("replay.no_violations", "==", True),
+    Row("defense.digest_invariant", "==", True),
+    Row("defense.both_ok", "==", True),
+    Row("pressure.replay_stable", "==", True),
+    Row("pressure.all_clean", "==", True),
+)
 
-def compare_reports(report: dict) -> GateResult:
-    checks: list[GateCheck] = []
-    workloads = report.get("workloads", {})
-
-    replay = workloads.get("replay", {})
-    for key in ("replays", "sharded_equals_single"):
-        value = replay.get("ratios", {}).get(key, 0.0)
-        checks.append(
-            GateCheck(
-                f"replay.{key}",
-                value == 1.0,
-                "digest identical" if value == 1.0 else "digest MISMATCH",
-            )
-        )
-    checks.append(
-        GateCheck(
-            "replay.fail_safe",
-            bool(replay.get("deterministic", {}).get("all_fail_safe")),
-            "every adversarial run fail-safe stopped with ok verdict",
-        )
-    )
-    checks.append(
-        GateCheck(
-            "replay.no_violations",
-            replay.get("ratios", {}).get("violations", 1.0) == 0.0,
-            "zero guarantee violations across the adversarial runs",
-        )
-    )
-
-    tax = workloads.get("defense_tax", {}).get("deterministic", {})
-    checks.append(
-        GateCheck(
-            "defense.digest_invariant",
-            bool(tax.get("digest_invariant")) and bool(tax.get("both_ok")),
-            "defense on/off clean-run digests identical",
-        )
-    )
-
-    pressure = workloads.get("pressure", {}).get("deterministic", {})
-    checks.append(
-        GateCheck(
-            "pressure.replay_stable",
-            bool(pressure.get("replay_stable")),
-            "per-rate hostile runs replay digest-identically",
-        )
-    )
-    checks.append(
-        GateCheck(
-            "pressure.all_clean",
-            bool(pressure.get("all_clean")),
-            "hostile-pressure runs complete with zero violations",
-        )
-    )
-    return GateResult(checks)
+SUITE = Suite("adversarial", measure, ROWS, baseline=False)
 
 
 # ---------------------------------------------------------------------------
@@ -247,41 +198,11 @@ def compare_reports(report: dict) -> GateResult:
 
 def test_adversarial_replay_contract():
     replay = bench_adversarial_replay()
-    assert replay["ratios"]["replays"] == 1.0
-    assert replay["ratios"]["sharded_equals_single"] == 1.0
-    assert replay["ratios"]["violations"] == 0.0
-    assert replay["deterministic"]["all_fail_safe"]
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_adversarial.py",
-        description="adversarial fault-surface harness (within-run gates)",
-    )
-    parser.add_argument("--out", default=str(OUT_PATH), help="report path")
-    parser.add_argument("--repeats", type=int, default=3)
-    args = parser.parse_args(argv)
-
-    report = measure(repeats=args.repeats)
-    out = write_report(report, args.out)
-    print(f"wrote {out}")
-    tax = report["workloads"]["defense_tax"]
-    print(
-        f"  defense tax: {tax['ratios']['defense_tax']:.2f}x wall "
-        f"({tax['wall']['defense_on_s']:.2f}s on / "
-        f"{tax['wall']['defense_off_s']:.2f}s off)"
-    )
-    for point in report["workloads"]["pressure"]["info"]["points"]:
-        print(
-            f"  pressure rate={point['rate']:.2f}: "
-            f"corrupted={point['corrupted']} forged={point['forged']} "
-            f"quarantined={point['quarantined']} "
-            f"{'ok' if point['ok'] else 'FAIL'}"
-        )
-    gate = compare_reports(report)
-    print(gate.render())
-    return 0 if gate.ok else 1
+    assert replay["ratios"]["replays"]
+    assert replay["ratios"]["sharded_equals_single"]
+    assert replay["ratios"]["no_violations"]
+    assert replay["deterministic"]["fail_safe"]
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(SUITE, sys.argv[1:]))

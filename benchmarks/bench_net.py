@@ -1,21 +1,19 @@
 """Distributed-runtime benchmarks and the sharding perf gate.
 
-Three roles (mirroring ``bench_perf.py`` / :mod:`repro.perf.bench`):
+Two roles (mirroring ``bench_perf.py``):
 
 * under pytest, asserts the runtime's CI contract -- the frame
   encoder's hot path is byte-stable and not slower than naive
   ``json.dumps``, and the n=16 replay digests (single-loop, sharded,
   sharded-repeat) are identical within the run *and* exactly equal to
   the committed ``BASELINE_net.json``;
-* as a script (``python benchmarks/bench_net.py [--quick]``), runs the
-  full workload set, writes ``BENCH_net.json`` at the repo root, and
-  exits non-zero if the gate fails;
-* ``--update-baseline`` rewrites ``benchmarks/BASELINE_net.json`` from
-  the current run.
+* as a script (``python benchmarks/bench_net.py [--quick]``), runs
+  :data:`SUITE` through :func:`repro.perf.gate.main`: writes
+  ``BENCH_net.json`` at the repo root and exits non-zero if the gate
+  fails (``--update-baseline`` rewrites ``benchmarks/BASELINE_net.json``).
 
-Gating philosophy (same as :mod:`repro.perf.bench`): wall-clock numbers
-are recorded, never gated against the baseline -- machines differ.
-What *is* gated:
+Wall-clock numbers are recorded, never gated against the baseline --
+machines differ.  What *is* gated (:data:`ROWS`):
 
 * deterministic quantities exactly -- the frame-corpus digest and the
   n=16 trace digests are pure functions of (plan, config), identical in
@@ -55,7 +53,6 @@ arity-8 tree over 8 shards) -- informational, never gated.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -68,10 +65,7 @@ if __name__ == "__main__":  # script mode: make src/ importable
 from repro.chaos.plan import FaultEvent, FaultPlan, LinkPlan
 from repro.net import NetConfig, encode_canonical, run_sync
 from repro.net.node import Timing
-from repro.obs.regress import GateCheck, GateResult, load_json, write_report
-
-OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_net.json"
-BASELINE_PATH = Path(__file__).resolve().parent / "BASELINE_net.json"
+from repro.perf.gate import Row, Suite, load_json, main
 
 #: Within-run ratio gates (see module docstring).
 ENCODER_MIN_RATIO = 1.05
@@ -166,8 +160,8 @@ def bench_digests() -> dict:
             "all_ok": ok,
         },
         "ratios": {
-            "sharded_equals_single": float(single.digest == shard.digest),
-            "sharded_replays": float(shard.digest == shard_repeat.digest),
+            "sharded_equals_single": single.digest == shard.digest,
+            "sharded_replays": shard.digest == shard_repeat.digest,
         },
         "wall": {
             "single_s": single.wall_s,
@@ -248,7 +242,10 @@ def bench_headline(quick: bool) -> dict:
         else float("inf")
     )
     return {
-        "ratios": {"sharded_vs_single_loop": ratio},
+        "ratios": {
+            "sharded_vs_single_loop": ratio,
+            "sharded_reached": sharded["reached"],
+        },
         "info": {
             "nodes": nodes,
             "shards": shards,
@@ -280,100 +277,28 @@ def bench_scale_curve(quick: bool) -> dict:
     return {"info": {"points": points}}
 
 
-def measure(quick: bool = False, repeats: int = 3) -> dict:
-    report: dict = {"version": 2, "quick": quick, "workloads": {}}
-    report["workloads"]["frames"] = bench_frames(repeats=max(1, repeats))
-    report["workloads"]["digests"] = bench_digests()
-    report["workloads"]["headline"] = bench_headline(quick)
-    report["workloads"]["scale_curve"] = bench_scale_curve(quick)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# The gate
-# ---------------------------------------------------------------------------
-
-def compare_reports(report: dict, baseline: dict | None = None) -> GateResult:
-    """Within-run ratio gates, plus exact baseline equality when given."""
-    checks: list[GateCheck] = []
-    workloads = report.get("workloads", {})
-
-    frames = workloads.get("frames", {})
-    ratio = frames.get("ratios", {}).get("encode_speedup", 0.0)
-    checks.append(
-        GateCheck(
-            "frames.encode_speedup",
-            ratio >= ENCODER_MIN_RATIO,
-            f"hot encoder {ratio:.3f}x naive json.dumps "
-            f"(floor {ENCODER_MIN_RATIO})",
-        )
-    )
-
-    digests = workloads.get("digests", {})
-    for key in ("sharded_equals_single", "sharded_replays"):
-        value = digests.get("ratios", {}).get(key, 0.0)
-        checks.append(
-            GateCheck(
-                f"digests.{key}",
-                value == 1.0,
-                "digest identical" if value == 1.0 else "digest MISMATCH",
-            )
-        )
-    checks.append(
-        GateCheck(
-            "digests.all_ok",
-            bool(digests.get("deterministic", {}).get("all_ok")),
-            "all three runs reached with zero violations",
-        )
-    )
-
-    headline = workloads.get("headline", {})
-    ratio = headline.get("ratios", {}).get("sharded_vs_single_loop", 0.0)
-    floor = QUICK_MIN_RATIO if report.get("quick") else SHARD_HEADLINE_SPEEDUP
-    label = "sanity floor" if report.get("quick") else "headline floor"
-    checks.append(
-        GateCheck(
-            "headline.sharded_vs_single_loop",
-            ratio >= floor,
-            f"sharded {ratio:.2f}x single-loop sockets ({label} {floor})",
-        )
-    )
-    sharded_point = headline.get("info", {}).get("sharded", {})
-    checks.append(
-        GateCheck(
-            "headline.sharded_reached",
-            bool(sharded_point.get("reached")),
-            f"sharded completed {sharded_point.get('completed')}"
-            f"/{sharded_point.get('barriers')} barriers",
-        )
-    )
-
-    if baseline is not None:
-        for name, base_wl in baseline.get("workloads", {}).items():
-            cur_wl = workloads.get(name, {})
-            for key, base_value in base_wl.get("deterministic", {}).items():
-                cur_value = cur_wl.get("deterministic", {}).get(key)
-                checks.append(
-                    GateCheck(
-                        f"baseline.{name}.{key}",
-                        cur_value == base_value,
-                        f"current={cur_value!r} baseline={base_value!r} "
-                        "(exact)",
-                    )
-                )
-    return GateResult(checks)
-
-
-def baseline_from(report: dict) -> dict:
-    """The committed slice: deterministic quantities only."""
+def measure(repeats: int = 3, quick: bool = False) -> dict:
     return {
-        "version": report["version"],
-        "workloads": {
-            name: {"deterministic": wl["deterministic"]}
-            for name, wl in report["workloads"].items()
-            if wl.get("deterministic")
-        },
+        "frames": bench_frames(repeats=max(1, repeats)),
+        "digests": bench_digests(),
+        "headline": bench_headline(quick),
+        "scale_curve": bench_scale_curve(quick),
     }
+
+
+ROWS = (
+    Row("frames.encode_speedup", ">=", ENCODER_MIN_RATIO),
+    Row("digests.sharded_equals_single", "==", True),
+    Row("digests.sharded_replays", "==", True),
+    Row("digests.all_ok", "==", True),
+    Row(
+        "headline.sharded_vs_single_loop", ">=", SHARD_HEADLINE_SPEEDUP,
+        quick=QUICK_MIN_RATIO,
+    ),
+    Row("headline.sharded_reached", "==", True),
+)
+
+SUITE = Suite("net", measure, ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -383,68 +308,17 @@ def baseline_from(report: dict) -> dict:
 def test_encoder_hot_path():
     frames = bench_frames(repeats=2)
     assert frames["ratios"]["encode_speedup"] >= ENCODER_MIN_RATIO, frames
-    assert (
-        frames["deterministic"]["corpus_digest"]
-        == load_json(BASELINE_PATH)["workloads"]["frames"]["deterministic"][
-            "corpus_digest"
-        ]
-    )
+    base = load_json(SUITE.baseline_path)["workloads"]["frames"]
+    assert frames["deterministic"] == base["deterministic"]
 
 
 def test_digests_match_committed_baseline():
     digests = bench_digests()
-    assert digests["ratios"]["sharded_equals_single"] == 1.0
-    assert digests["ratios"]["sharded_replays"] == 1.0
-    base = load_json(BASELINE_PATH)["workloads"]["digests"]["deterministic"]
-    assert digests["deterministic"] == base
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_net.py",
-        description="distributed-runtime perf harness + sharding gate",
-    )
-    parser.add_argument("--out", default=str(OUT_PATH), help="report path")
-    parser.add_argument(
-        "--baseline", default=str(BASELINE_PATH), help="committed baseline"
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="n=64 headline with a sanity floor instead of the n=256 "
-        "gate; skips the 1024-node curve point",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the baseline's deterministic slice from this run",
-    )
-    args = parser.parse_args(argv)
-
-    report = measure(quick=args.quick, repeats=args.repeats)
-    out = write_report(report, args.out)
-    print(f"wrote {out}")
-    for point in report["workloads"]["scale_curve"]["info"]["points"]:
-        print(
-            f"  scale n={point['nodes']:4d} {point['transport']:>9s}: "
-            f"{point['round_latency_s'] * 1e3:8.1f} ms/barrier  "
-            f"{point['barriers_per_s']:6.2f} barriers/s  "
-            f"{'ok' if point['reached'] else 'NOT REACHED'}"
-        )
-    if args.update_baseline:
-        base = write_report(baseline_from(report), args.baseline)
-        print(f"baseline updated: {base}")
-        gate = compare_reports(report)
-    else:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"no baseline at {baseline_path}; run --update-baseline first")
-            return 1
-        gate = compare_reports(report, load_json(baseline_path))
-    print(gate.render())
-    return 0 if gate.ok else 1
+    assert digests["ratios"]["sharded_equals_single"]
+    assert digests["ratios"]["sharded_replays"]
+    base = load_json(SUITE.baseline_path)["workloads"]["digests"]
+    assert digests["deterministic"] == base["deterministic"]
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(SUITE, sys.argv[1:]))

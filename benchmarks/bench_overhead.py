@@ -5,9 +5,9 @@ Two roles:
 * under pytest, asserts the observability layer's perf contract -- the
   NullTracer <5% hot-path budget and the deterministic quantities
   against the committed ``BASELINE_obs.json``;
-* as a script (``python benchmarks/bench_overhead.py [--quick]``),
-  delegates to :mod:`repro.obs.regress`: runs the workloads, writes
-  ``BENCH_obs.json``, and exits non-zero if the gate fails.
+* as a script (``python benchmarks/bench_overhead.py [--quick]``), runs
+  :data:`repro.obs.regress.SUITE` through :func:`repro.perf.gate.main`:
+  writes ``BENCH_obs.json`` and exits non-zero if the gate fails.
 """
 
 from __future__ import annotations
@@ -21,18 +21,13 @@ if __name__ == "__main__":  # script mode: make src/ importable
 import pytest
 
 from repro.obs import regress
-from repro.obs.regress import (
-    BASELINE_PATH,
-    CountingNullTracer,
-    compare,
-    load_json,
-    measure,
-)
+from repro.obs.regress import SUITE, CountingNullTracer
+from repro.perf import gate
 
 
 @pytest.fixture(scope="module")
 def report():
-    return measure(repeats=1, quick=True)
+    return gate.run(SUITE, repeats=1, quick=True)
 
 
 def test_null_tracer_overhead_gate():
@@ -60,23 +55,27 @@ def test_net_null_tracer_overhead_gate():
 
 
 def test_gate_against_committed_baseline(report):
-    assert BASELINE_PATH.exists(), "benchmarks/BASELINE_obs.json missing"
-    gate = compare(report, load_json(BASELINE_PATH))
-    assert gate.ok, gate.render()
+    assert SUITE.baseline_path.exists(), "benchmarks/BASELINE_obs.json missing"
+    rows = tuple(r for r in SUITE.rows if "tracing_off_vs_on" not in r.path)
+    result = gate.compare(report, rows, gate.load_json(SUITE.baseline_path))
+    assert result.ok, result.render()
 
 
 def test_tracing_off_not_slower_than_on(report):
     """Self-relative wall check: recording must cost something >= 0.
 
-    The limit is looser than the CLI default (1.5) because this runs a
+    The limit is looser than the gate's row (1.5) because this runs a
     single repeat per mode -- enough to catch NullTracer doing real
     work, without flaking on scheduler noise.
     """
-    gate = compare(report, report, wall_ratio_limit=3.0)
-    wall_checks = [c for c in gate.checks if "tracing_off_vs_on" in c.name]
-    assert wall_checks, "wall-ratio checks missing"
-    assert all(c.ok for c in wall_checks), gate.render()
+    ratios = [
+        entry["ratios"]["tracing_off_vs_on"]
+        for entry in report["workloads"].values()
+        if "tracing_off_vs_on" in entry.get("ratios", {})
+    ]
+    assert len(ratios) == 4, "wall ratios missing"
+    assert max(ratios) <= 3.0, ratios
 
 
 if __name__ == "__main__":
-    sys.exit(regress.main(sys.argv[1:]))
+    sys.exit(gate.main(SUITE, sys.argv[1:]))

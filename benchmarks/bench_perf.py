@@ -6,9 +6,9 @@ Two roles (mirroring ``bench_overhead.py``):
   the explorer fast path, and the cached sweeps -- identical semantics
   plus the within-run speedup floors -- and the deterministic
   quantities against the committed ``BASELINE_perf.json``;
-* as a script (``python benchmarks/bench_perf.py [--quick]``),
-  delegates to :mod:`repro.perf.bench`: runs the workloads, writes
-  ``BENCH_perf.json``, and exits non-zero if the gate fails.
+* as a script (``python benchmarks/bench_perf.py [--quick]``), runs
+  :data:`repro.perf.bench.SUITE` through :func:`repro.perf.gate.main`:
+  writes ``BENCH_perf.json`` and exits non-zero if the gate fails.
 """
 
 from __future__ import annotations
@@ -21,52 +21,43 @@ if __name__ == "__main__":  # script mode: make src/ importable
 
 import pytest
 
-from repro.perf import bench
-from repro.perf.bench import (
-    BASELINE_PATH,
-    compare_reports,
-    load_json,
-    measure,
-)
+from repro.perf import gate
+from repro.perf.bench import SUITE
 
 
 @pytest.fixture(scope="module")
 def report():
-    return measure(repeats=1, quick=True)
+    return gate.run(SUITE)
+
+
+def _rows(*words: str) -> tuple[gate.Row, ...]:
+    return tuple(r for r in SUITE.rows if any(w in r.path for w in words))
 
 
 def test_traces_and_representations_identical(report):
     """The optimizations must not change any observable result."""
-    gate = compare_reports(report)
-    identity = [
-        c
-        for c in gate.checks
-        if "trace_identical" in c.name
-        or "representation_identical" in c.name
-        or "bit_identical" in c.name
-    ]
-    assert identity, "identity checks missing from the gate"
-    assert all(c.ok for c in identity), gate.render()
+    rows = _rows("identical")
+    assert rows, "identity rows missing from the table"
+    result = gate.compare(report, rows)
+    assert result.ok, result.render()
 
 
 def test_within_run_speedups(report):
     """Ratio floors: headline RB speedup, eager daemons never slower,
     warm sweep cache >= 2x (all within-run, machine-independent)."""
-    gate = compare_reports(report)
-    ratios = [
-        c
-        for c in gate.checks
-        if "ratio" in c.name or "speedup" in c.name
-    ]
-    assert ratios, "ratio checks missing from the gate"
-    assert all(c.ok for c in ratios), gate.render()
+    rows = _rows("ratio", "speedup")
+    assert rows, "ratio rows missing from the table"
+    result = gate.compare(report, rows)
+    assert result.ok, result.render()
 
 
 def test_gate_against_committed_baseline(report):
-    assert BASELINE_PATH.exists(), "benchmarks/BASELINE_perf.json missing"
-    gate = compare_reports(report, load_json(BASELINE_PATH))
-    assert gate.ok, gate.render()
+    assert SUITE.baseline_path.exists(), "benchmarks/BASELINE_perf.json missing"
+    result = gate.compare(
+        report, SUITE.rows, gate.load_json(SUITE.baseline_path)
+    )
+    assert result.ok, result.render()
 
 
 if __name__ == "__main__":
-    sys.exit(bench.main(sys.argv[1:]))
+    sys.exit(gate.main(SUITE, sys.argv[1:]))

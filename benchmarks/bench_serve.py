@@ -1,21 +1,19 @@
 """Barrier-service benchmarks and the serve perf gate.
 
-Three roles (mirroring ``bench_net.py``):
+Two roles (mirroring ``bench_net.py``):
 
 * under pytest, asserts the service's CI contract -- the seeded load
   generator replays to an identical digest on a fresh daemon, and both
   the client-side digest and the server-side outcome digest exactly
   equal the committed ``BASELINE_serve.json``;
 * as a script (``python benchmarks/bench_serve.py [--quick]``), boots
-  an in-process daemon, runs the digest and latency workloads, writes
-  ``BENCH_serve.json`` at the repo root, and exits non-zero if the gate
-  fails;
-* ``--update-baseline`` rewrites ``benchmarks/BASELINE_serve.json``
-  from the current run.
+  an in-process daemon, runs the digest and latency workloads through
+  :func:`repro.perf.gate.main`: writes ``BENCH_serve.json`` at the repo
+  root and exits non-zero if the gate fails (``--update-baseline``
+  rewrites ``benchmarks/BASELINE_serve.json``).
 
-Gating philosophy (same as the other benches): wall-clock latencies
-are recorded, never gated against the baseline -- machines differ.
-What *is* gated:
+Wall-clock latencies are recorded, never gated against the baseline --
+machines differ.  What *is* gated (:data:`ROWS`):
 
 * deterministic quantities exactly -- the loadgen replay digest and the
   daemon's logical outcome digest are pure functions of (config, seed),
@@ -30,7 +28,6 @@ What *is* gated:
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import hashlib
 import sys
@@ -41,12 +38,9 @@ if __name__ == "__main__":  # script mode: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.net.frames import encode_canonical
-from repro.obs.regress import GateCheck, GateResult, load_json, write_report
+from repro.perf.gate import Row, Suite, load_json, main
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.loadgen import LoadConfig, LoadResult, run_load
-
-OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
-BASELINE_PATH = Path(__file__).resolve().parent / "BASELINE_serve.json"
 
 #: p99/p50 barrier-completion tail bound (within-run; generous on
 #: purpose -- crash-restart reconnects and scripted slow clients sit in
@@ -106,8 +100,8 @@ def bench_digests() -> dict:
             "clean": clean,
         },
         "ratios": {
-            "replay_identical": float(first.digest == second.digest),
-            "server_replay_identical": float(
+            "replay_identical": first.digest == second.digest,
+            "server_replay_identical": (
                 _outcome_digest(first_outcomes)
                 == _outcome_digest(second_outcomes)
             ),
@@ -140,7 +134,7 @@ def bench_latency(quick: bool) -> dict:
     return {
         "ratios": {
             "tail_p99_over_p50": p99 / p50 if p50 else float("inf"),
-            "clean_run": float(not result.errors and all_done),
+            "clean_run": not result.errors and all_done,
         },
         "info": {
             "groups": kwargs["groups"],
@@ -158,92 +152,20 @@ def bench_latency(quick: bool) -> dict:
     }
 
 
-def measure(quick: bool = False) -> dict:
-    report: dict = {"version": 1, "quick": quick, "workloads": {}}
-    report["workloads"]["digests"] = bench_digests()
-    report["workloads"]["latency"] = bench_latency(quick)
-    return report
+def measure(repeats: int = 3, quick: bool = False) -> dict:
+    return {"digests": bench_digests(), "latency": bench_latency(quick)}
 
 
-# ---------------------------------------------------------------------------
-# The gate
-# ---------------------------------------------------------------------------
+ROWS = (
+    Row("digests.replay_identical", "==", True),
+    Row("digests.server_replay_identical", "==", True),
+    Row("digests.clean", "==", True),
+    Row("latency.tail_p99_over_p50", "<=", TAIL_MAX_RATIO),
+    Row("latency.clean_run", "==", True),
+    Row("latency.rounds_measured", ">=", 1),
+)
 
-def compare_reports(report: dict, baseline: dict | None = None) -> GateResult:
-    """Within-run ratio gates, plus exact baseline equality when given."""
-    checks: list[GateCheck] = []
-    workloads = report.get("workloads", {})
-
-    digests = workloads.get("digests", {})
-    for key in ("replay_identical", "server_replay_identical"):
-        value = digests.get("ratios", {}).get(key, 0.0)
-        checks.append(
-            GateCheck(
-                f"digests.{key}",
-                value == 1.0,
-                "digest identical" if value == 1.0 else "digest MISMATCH",
-            )
-        )
-    checks.append(
-        GateCheck(
-            "digests.clean",
-            bool(digests.get("deterministic", {}).get("clean")),
-            "both seeded runs finished with zero loadgen errors",
-        )
-    )
-
-    latency = workloads.get("latency", {})
-    ratios = latency.get("ratios", {})
-    tail = ratios.get("tail_p99_over_p50", float("inf"))
-    checks.append(
-        GateCheck(
-            "latency.tail_p99_over_p50",
-            tail <= TAIL_MAX_RATIO,
-            f"p99/p50 = {tail:.1f} (ceiling {TAIL_MAX_RATIO})",
-        )
-    )
-    checks.append(
-        GateCheck(
-            "latency.clean_run",
-            ratios.get("clean_run", 0.0) == 1.0,
-            "every group completed, zero loadgen errors",
-        )
-    )
-    checks.append(
-        GateCheck(
-            "latency.rounds_measured",
-            latency.get("info", {}).get("rounds_measured", 0) > 0,
-            f"{latency.get('info', {}).get('rounds_measured', 0)} "
-            "arrive->release samples",
-        )
-    )
-
-    if baseline is not None:
-        for name, base_wl in baseline.get("workloads", {}).items():
-            cur_wl = workloads.get(name, {})
-            for key, base_value in base_wl.get("deterministic", {}).items():
-                cur_value = cur_wl.get("deterministic", {}).get(key)
-                checks.append(
-                    GateCheck(
-                        f"baseline.{name}.{key}",
-                        cur_value == base_value,
-                        f"current={cur_value!r} baseline={base_value!r} "
-                        "(exact)",
-                    )
-                )
-    return GateResult(checks)
-
-
-def baseline_from(report: dict) -> dict:
-    """The committed slice: deterministic quantities only."""
-    return {
-        "version": report["version"],
-        "workloads": {
-            name: {"deterministic": wl["deterministic"]}
-            for name, wl in report["workloads"].items()
-            if wl.get("deterministic")
-        },
-    }
+SUITE = Suite("serve", measure, ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -252,57 +174,11 @@ def baseline_from(report: dict) -> dict:
 
 def test_serve_digests_match_committed_baseline():
     digests = bench_digests()
-    assert digests["ratios"]["replay_identical"] == 1.0
-    assert digests["ratios"]["server_replay_identical"] == 1.0
-    base = load_json(BASELINE_PATH)["workloads"]["digests"]["deterministic"]
-    assert digests["deterministic"] == base
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python benchmarks/bench_serve.py",
-        description="barrier-service perf harness + serve gate",
-    )
-    parser.add_argument("--out", default=str(OUT_PATH), help="report path")
-    parser.add_argument(
-        "--baseline", default=str(BASELINE_PATH), help="committed baseline"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="2 groups x 12 clients latency point instead of 3 x 50",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the baseline's deterministic slice from this run",
-    )
-    args = parser.parse_args(argv)
-
-    report = measure(quick=args.quick)
-    out = write_report(report, args.out)
-    print(f"wrote {out}")
-    wall = report["workloads"]["latency"]["wall"]
-    info = report["workloads"]["latency"]["info"]
-    print(
-        f"  latency {info['groups']}x{info['clients_per_group']} clients, "
-        f"{info['barriers']} barriers: "
-        f"p50={wall['p50_s'] * 1e3:.2f}ms p99={wall['p99_s'] * 1e3:.2f}ms "
-        f"({info['rounds_measured']} samples)"
-    )
-    if args.update_baseline:
-        base = write_report(baseline_from(report), args.baseline)
-        print(f"baseline updated: {base}")
-        gate = compare_reports(report)
-    else:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"no baseline at {baseline_path}; run --update-baseline first")
-            return 1
-        gate = compare_reports(report, load_json(baseline_path))
-    print(gate.render())
-    return 0 if gate.ok else 1
+    assert digests["ratios"]["replay_identical"]
+    assert digests["ratios"]["server_replay_identical"]
+    base = load_json(SUITE.baseline_path)["workloads"]["digests"]
+    assert digests["deterministic"] == base["deterministic"]
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(SUITE, sys.argv[1:]))

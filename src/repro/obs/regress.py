@@ -1,57 +1,47 @@
-"""Perf-regression harness for the observability layer.
+"""The observability suite: what tracing costs and what it must not change.
 
-Runs three seeded workloads -- the guarded-command kernel, the Figure 5
-timed tree-barrier sweep point, and the Figure 7 perturb-and-recover
-experiment -- and writes ``BENCH_obs.json``: wall-clock medians plus the
-runs' *deterministic* trace quantities and histogram quantiles (virtual
-time, hence machine-independent).  :func:`compare` gates a fresh report
-against the committed baseline (``benchmarks/BASELINE_obs.json``) with a
-configurable tolerance.
+Runs four seeded workloads -- the guarded-command kernel, the Figure 5
+timed tree-barrier sweep point, the Figure 7 perturb-and-recover
+experiment and a faulty 5-node ``repro.net`` run -- traced and
+untraced, and gates them through :mod:`repro.perf.gate`
+(``python benchmarks/bench_overhead.py [--quick]`` writes
+``BENCH_obs.json``).  Each workload's deterministic slice holds the
+run's trace quantities and histogram quantiles (virtual time, hence
+machine-independent; for net only the digest and the plan-driven
+quantities) and is compared against ``benchmarks/BASELINE_obs.json``.
 
-Gating philosophy: wall-clock numbers are recorded for trajectory but
-never compared against the committed baseline (a different machine would
-make that meaningless).  The gates are
+The rows (:data:`ROWS`):
 
-- every deterministic quantity (event counts, instances per phase,
-  recovery-latency distribution quantiles) within ``rel_tol`` of the
-  baseline -- a semantic regression in any engine or in the reduction
-  pipeline trips this;
-- the **NullTracer overhead gate**: with tracing off, engines must make
+- the **NullTracer gates**: with tracing off, engines must make
   (almost) *zero* calls into the tracer -- every recording call is
   guarded by ``if tracer.enabled:``.  A counting NullTracer measures
-  unguarded calls per kernel step; the budget is ``calls_per_step <=
-  baseline + 0.05`` (the <5% hot-path budget).  Dropping a guard or
-  making NullTracer methods do work trips this deterministically;
-- optionally (``wall_ratio_limit``) the self-relative sanity check that
-  a run with tracing *off* is not slower than the same run recording --
+  unguarded calls per kernel step (``null_tracer``) and per completed
+  barrier of a fault-free net run (``net_null_tracer``); the budget is
+  :data:`NULL_CALLS_PER_STEP_TOL` (the <5% hot-path budget);
+- ``<workload>.tracing_off_vs_on``: a run with tracing off is not
+  slower than :data:`WALL_RATIO_LIMIT` x the same run recording --
   compared within one process, so it is machine-independent too.
-
-CLI: ``python -m repro.obs.regress [--quick] [--out BENCH_obs.json]``
-(also reachable as ``python benchmarks/bench_overhead.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import statistics
-import sys
 import time
-from pathlib import Path
+from functools import partial
 from typing import Any, Callable
 
 from repro.obs.causal import _quantile
 from repro.obs.metrics import metrics_from_trace
 from repro.obs.summary import summarize
 from repro.obs.tracer import NullTracer, Tracer
-
-#: Default artifact locations (repo root / benchmarks).
-BENCH_PATH = Path("BENCH_obs.json")
-BASELINE_PATH = Path(__file__).resolve().parents[3] / "benchmarks" / "BASELINE_obs.json"
+from repro.perf.gate import Row, Suite
 
 #: The NullTracer budget: unguarded tracer calls per kernel step.
 NULL_CALLS_PER_STEP_TOL = 0.05
+
+#: Tracing-off over tracing-on wall time, at most.
+WALL_RATIO_LIMIT = 1.5
 
 
 class CountingNullTracer(NullTracer):
@@ -199,257 +189,93 @@ def _safe(value: Any) -> Any:
     return value
 
 
+def _traced(workload: Callable[[Any], dict[str, Any]]) -> tuple[Tracer, Any]:
+    tracer = Tracer()
+    return tracer, workload(tracer)
+
+
+def _timed(run: Callable[[], Any], repeats: int) -> tuple[list[float], Any]:
+    """Wall times of ``repeats`` calls and the last call's result."""
+    times: list[float] = []
+    result = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return times, result
+
+
+def _on_off(traced: list[float], null: list[float]) -> dict[str, Any]:
+    """The ratios and wall entries of a traced/untraced pair of runs."""
+    on, off = statistics.median(traced), statistics.median(null)
+    return {
+        "ratios": {"tracing_off_vs_on": off / on},
+        "wall": {
+            "median_s": on,
+            "times_s": traced,
+            "null_median_s": off,
+            "null_times_s": null,
+        },
+    }
+
+
+def _null_gate(calls: int, steps: int) -> dict[str, Any]:
+    return {
+        "ratios": {"calls_per_step": calls / steps},
+        "info": {"calls": calls, "steps": steps},
+    }
+
+
 def measure(repeats: int = 3, quick: bool = False) -> dict[str, Any]:
-    """Run every workload; build the BENCH_obs report dict."""
+    """Run every workload into the suite's workload entries."""
     if quick:
         repeats = max(1, min(repeats, 2))
-    report: dict[str, Any] = {"version": 1, "repeats": repeats, "workloads": {}}
+    workloads: dict[str, Any] = {}
     for name, workload in WORKLOADS.items():
-        traced_times: list[float] = []
-        null_times: list[float] = []
-        events: list = []
-        native: dict[str, Any] = {}
-        for _ in range(repeats):
-            tracer = Tracer()
-            start = time.perf_counter()
-            native = workload(tracer)
-            traced_times.append(time.perf_counter() - start)
-            events = tracer.events
-        for _ in range(repeats):
-            start = time.perf_counter()
-            workload(None)
-            null_times.append(time.perf_counter() - start)
-        report["workloads"][name] = {
-            "wall": {
-                "median_s": statistics.median(traced_times),
-                "times_s": traced_times,
-                "null_median_s": statistics.median(null_times),
-                "null_times_s": null_times,
+        traced, (tracer, native) = _timed(partial(_traced, workload), repeats)
+        null, _ = _timed(partial(workload, None), repeats)
+        workloads[name] = {
+            "deterministic": {
+                **_deterministic(tracer.events, native),
+                **_histogram_quantiles(tracer.events),
             },
-            "deterministic": _deterministic(events, native),
-            "quantiles": _histogram_quantiles(events),
+            **_on_off(traced, null),
         }
     # The net runtime workload: wall-clock nondeterminism keeps event
     # and message counts out of the report; digest + plan-driven
     # quantities are the gates (see run_net).
-    net_times: list[float] = []
-    net_null_times: list[float] = []
-    net_result: Any = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        net_result = run_net()
-        net_times.append(time.perf_counter() - start)
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_net(tracing=False)
-        net_null_times.append(time.perf_counter() - start)
-    report["workloads"]["net"] = {
-        "wall": {
-            "median_s": statistics.median(net_times),
-            "times_s": net_times,
-            "null_median_s": statistics.median(net_null_times),
-            "null_times_s": net_null_times,
-        },
+    traced, net = _timed(run_net, repeats)
+    null, _ = _timed(partial(run_net, tracing=False), repeats)
+    workloads["net"] = {
         "deterministic": {
-            "digest": net_result.digest,
-            "reached": net_result.reached,
-            "completed": net_result.completed,
-            "successful_phases": net_result.successful_phases,
-            "faults_fired": net_result.faults_fired,
-            "violations": len(net_result.violations),
-            "verdicts": net_result.metrics_summary.get("verdicts", {}),
+            "digest": net.digest,
+            "reached": net.reached,
+            "completed": net.completed,
+            "successful_phases": net.successful_phases,
+            "faults_fired": net.faults_fired,
+            "violations": len(net.violations),
+            "verdicts": net.metrics_summary.get("verdicts", {}),
         },
-        "quantiles": {},
+        **_on_off(traced, null),
     }
     counting = CountingNullTracer()
-    kernel = run_kernel(counting)
-    steps = max(1, kernel["steps"])
-    report["null_tracer_gate"] = {
-        "calls": counting.calls,
-        "steps": steps,
-        "calls_per_step": counting.calls / steps,
-    }
+    steps = max(1, run_kernel(counting)["steps"])
+    workloads["null_tracer"] = _null_gate(counting.calls, steps)
     counting_net = CountingNullTracer()
     null_net = run_net(faults=False, tracer_factory=lambda _pid: counting_net)
-    net_steps = max(1, null_net.completed)
-    report["net_null_tracer_gate"] = {
-        "calls": counting_net.calls,
-        "steps": net_steps,
-        "calls_per_step": counting_net.calls / net_steps,
-    }
-    return report
-
-
-# ---------------------------------------------------------------------------
-# The gate
-# ---------------------------------------------------------------------------
-
-class GateCheck:
-    def __init__(self, name: str, ok: bool, detail: str) -> None:
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-
-
-class GateResult:
-    """The outcome of one baseline comparison."""
-
-    def __init__(self, checks: list[GateCheck]) -> None:
-        self.checks = checks
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> list[GateCheck]:
-        return [c for c in self.checks if not c.ok]
-
-    def render(self) -> str:
-        lines = [
-            f"Regression gate: {len(self.checks)} checks, "
-            f"{len(self.failures)} failing"
-        ]
-        for check in self.checks:
-            mark = "ok  " if check.ok else "FAIL"
-            lines.append(f"  [{mark}] {check.name}: {check.detail}")
-        return "\n".join(lines)
-
-
-def _close(current: Any, base: Any, rel_tol: float) -> bool:
-    if current is None or base is None or isinstance(base, str) or isinstance(
-        current, str
-    ):
-        return current == base
-    if isinstance(base, (int, float)):
-        return math.isclose(
-            float(current), float(base), rel_tol=rel_tol, abs_tol=1e-9
-        )
-    return current == base
-
-
-def compare(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    rel_tol: float = 0.01,
-    null_tol: float = NULL_CALLS_PER_STEP_TOL,
-    wall_ratio_limit: float | None = None,
-) -> GateResult:
-    """Gate ``current`` against ``baseline`` (see module docstring)."""
-    checks: list[GateCheck] = []
-    for name, base_wl in baseline.get("workloads", {}).items():
-        cur_wl = current.get("workloads", {}).get(name)
-        if cur_wl is None:
-            checks.append(GateCheck(f"{name}", False, "workload missing"))
-            continue
-        for section in ("deterministic", "quantiles"):
-            for key, base_value in base_wl.get(section, {}).items():
-                cur_value = cur_wl.get(section, {}).get(key)
-                ok = _close(cur_value, base_value, rel_tol)
-                checks.append(
-                    GateCheck(
-                        f"{name}.{key}",
-                        ok,
-                        f"current={cur_value!r} baseline={base_value!r} "
-                        f"(rel_tol={rel_tol})",
-                    )
-                )
-        if wall_ratio_limit is not None:
-            wall = cur_wl.get("wall", {})
-            t_null = wall.get("null_median_s")
-            t_traced = wall.get("median_s")
-            if t_null is not None and t_traced:
-                ratio = t_null / t_traced
-                checks.append(
-                    GateCheck(
-                        f"{name}.tracing_off_vs_on",
-                        ratio <= wall_ratio_limit,
-                        f"off/on wall ratio {ratio:.3f} "
-                        f"(limit {wall_ratio_limit})",
-                    )
-                )
-    for gate_key, label in (
-        ("null_tracer_gate", "null_tracer"),
-        ("net_null_tracer_gate", "net_null_tracer"),
-    ):
-        if gate_key not in baseline:
-            continue
-        base_cps = baseline[gate_key].get("calls_per_step", 0.0)
-        cur_cps = current.get(gate_key, {}).get("calls_per_step")
-        checks.append(
-            GateCheck(
-                f"{label}.calls_per_step",
-                cur_cps is not None and cur_cps <= base_cps + null_tol,
-                f"current={cur_cps!r} budget={base_cps + null_tol:g} "
-                "(the <5% NullTracer overhead gate)",
-            )
-        )
-    return GateResult(checks)
-
-
-# ---------------------------------------------------------------------------
-# Files + CLI
-# ---------------------------------------------------------------------------
-
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_json(path: str | Path) -> dict[str, Any]:
-    return json.loads(Path(path).read_text())
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.regress",
-        description="observability perf-regression harness",
+    workloads["net_null_tracer"] = _null_gate(
+        counting_net.calls, max(1, null_net.completed)
     )
-    parser.add_argument("--out", default=str(BENCH_PATH), help="report path")
-    parser.add_argument(
-        "--baseline", default=str(BASELINE_PATH), help="committed baseline"
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--quick", action="store_true", help="fewer repeats (CI smoke)"
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.01, help="relative gate tolerance"
-    )
-    parser.add_argument(
-        "--wall-ratio-limit",
-        type=float,
-        default=1.5,
-        help="max tracing-off/on wall ratio (0 disables the wall check)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the baseline from this run instead of gating",
-    )
-    args = parser.parse_args(argv)
-
-    report = measure(repeats=args.repeats, quick=args.quick)
-    out = write_report(report, args.out)
-    print(f"wrote {out}")
-    if args.update_baseline:
-        base = write_report(report, args.baseline)
-        print(f"baseline updated: {base}")
-        return 0
-    baseline_path = Path(args.baseline)
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; run --update-baseline first")
-        return 1
-    gate = compare(
-        report,
-        load_json(baseline_path),
-        rel_tol=args.tolerance,
-        wall_ratio_limit=args.wall_ratio_limit or None,
-    )
-    print(gate.render())
-    return 0 if gate.ok else 1
+    return workloads
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+ROWS = (
+    *(
+        Row(f"{name}.tracing_off_vs_on", "<=", WALL_RATIO_LIMIT)
+        for name in (*WORKLOADS, "net")
+    ),
+    Row("null_tracer.calls_per_step", "<=", NULL_CALLS_PER_STEP_TOL),
+    Row("net_null_tracer.calls_per_step", "<=", NULL_CALLS_PER_STEP_TOL),
+)
+
+SUITE = Suite("obs", measure, ROWS)

@@ -1,13 +1,11 @@
-"""Performance benchmarks and the perf-regression gate.
+"""Performance benchmarks and the one regression gate.
 
-This package measures the three optimization layers this repo ships --
-incremental guard evaluation in the daemons, the explorer fast path,
-and the cached/parallel experiment sweeps -- and gates them against the
-committed baseline (``benchmarks/BASELINE_perf.json``).
-
-See :mod:`repro.perf.bench` for the workloads and the gating rules;
-``python -m repro.perf.bench`` (or ``python benchmarks/bench_perf.py``)
-runs everything and writes ``BENCH_perf.json``.
+:mod:`repro.perf.gate` holds the gate every benchmark suite shares (one
+report layout, one baseline rule, one CLI); :mod:`repro.perf.bench` is
+the computation suite -- incremental guard evaluation in the daemons,
+the explorer fast path, and the cached/parallel experiment sweeps.
+``python benchmarks/bench_perf.py`` runs it and writes
+``BENCH_perf.json``.
 """
 
 from typing import TYPE_CHECKING
@@ -15,23 +13,13 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.perf.bench import (
-        BASELINE_PATH,
-        BENCH_PATH,
-        compare_reports,
-        measure,
-    )
+    from repro.perf.gate import Row, Suite, compare, main, run
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "bench": ("BASELINE_PATH", "BENCH_PATH", "compare_reports", "measure"),
+        "gate": ("Row", "Suite", "compare", "main", "run"),
     },
 )
 
-__all__ = [
-    "BASELINE_PATH",
-    "BENCH_PATH",
-    "compare_reports",
-    "measure",
-]
+__all__ = ["Row", "Suite", "compare", "main", "run"]

@@ -28,10 +28,11 @@ that passed its last barrier collapses to a
 :class:`~repro.serve.groups.DoneGroup` record (the newest
 :data:`DONE_RETAINED` are kept), a session that ends without a seat
 leaves one incarnation floor, and that floor -- like a crashed
-session's seat-less leftovers, a condemnation, or a connection that
-idles without a seat -- expires on the ``lease_s`` clock.  A connection
-is an :class:`asyncio.Protocol`: nothing awaits on it and no exception
-is kept for it, so however the peer ended it, it dies by refcount.
+session's seat-less leftovers, a condemnation, a connection that
+idles without a seat, or one that never says ``hello`` -- expires on
+the ``lease_s`` clock.  A connection is an :class:`asyncio.Protocol`:
+nothing awaits on it and no exception is kept for it, so however the
+peer ended it, it dies by refcount.
 
 The PR-7 observability plane is wired in: ``/metrics`` (Prometheus
 0.0.4), ``/health`` and ``/groups`` are served by
@@ -146,6 +147,7 @@ class _ClientConn(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport  # type: ignore[assignment]
         self.daemon.stats["connections"] += 1
+        self.daemon._unbound[self] = None
 
     def data_received(self, chunk: bytes) -> None:
         try:
@@ -196,6 +198,9 @@ class ServeDaemon:
         #: Names of the done-records in ``groups``, oldest first.
         self._retained: deque[str] = deque()
         self.clients: dict[int, _ClientConn] = {}
+        #: Connections yet to say ``hello``, oldest first (an ordered
+        #: set): on the lease clock like idle sessions.
+        self._unbound: dict[_ClientConn, None] = {}
         self.dedup = DedupIndex()
         self.condemned: set[int] = set()
         self._strikes: dict[int, int] = {}
@@ -353,6 +358,8 @@ class ServeDaemon:
         for client, conn in list(self.clients.items()):
             self.send(client, SHUTDOWN, {})
             conn.close()
+        for conn in list(self._unbound):
+            conn.close()
         for group in self._live_groups():
             await group.stop()
         # One turn of the loop: the transports' hang-ups run.
@@ -456,6 +463,7 @@ class ServeDaemon:
             conn.close()
             return
         conn.client, conn.incarnation = client, msg.incarnation
+        self._unbound.pop(conn, None)
         self.clients[client] = conn
         self._gone.pop(client, None)
         self.stats["frames"] += 1
@@ -590,6 +598,7 @@ class ServeDaemon:
         next life needs; without one nobody is coming back for this
         session, and all that stays is the floor that refuses its
         replay."""
+        self._unbound.pop(conn, None)
         client = conn.client
         if client is None or self.clients.get(client) is not conn:
             return  # never bound, or already superseded
@@ -610,7 +619,8 @@ class ServeDaemon:
         """The lease clock: forget sessions that ended before
         ``deadline`` (floor, crash leftovers, condemnation) and hang up
         on connections idle since then -- unless a seat still vouches
-        for them (the group's own lease evicts it first)."""
+        for them (the group's own lease evicts it first) -- or that
+        opened before it and never said ``hello``."""
         seated: set[int] = set().union(*(g.members for g in self._live_groups()))
         expired = []
         for client, since in self._gone.items():
@@ -628,3 +638,7 @@ class ServeDaemon:
             if conn.last_seen < deadline and client not in seated:
                 self.send(client, REJECT, {"reason": "idle"})
                 conn.close()
+        for conn in list(self._unbound):
+            if conn.last_seen >= deadline:
+                break
+            conn.close()

@@ -519,6 +519,32 @@ def test_first_frame_must_be_hello():
     run(go())
 
 
+def test_silent_connection_is_closed_on_the_lease_clock():
+    """A connection that never sends ``hello`` holds no session and no
+    seat; it is hung up on once it is ``lease_s`` old, not kept until
+    the peer leaves."""
+    lease = 0.5
+
+    async def go():
+        daemon = await boot(lease_s=lease)
+        loop = asyncio.get_running_loop()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon_port(daemon)
+            )
+            start = loop.time()
+            data = await asyncio.wait_for(reader.read(), timeout=10 * lease)
+            assert data == b""  # closed without a word: nobody to reject
+            assert loop.time() - start < 2 * lease
+            writer.close()
+            await asyncio.sleep(0.05)
+            assert not daemon._unbound and not daemon.clients
+        finally:
+            await daemon.shutdown()
+
+    run(go())
+
+
 # ---------------------------------------------------------------------------
 # The observability plane
 # ---------------------------------------------------------------------------

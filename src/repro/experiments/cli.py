@@ -394,7 +394,7 @@ def metrics_report(path: str, fmt: str = "text") -> int:
     import json as _json
 
     from repro.obs.jsonl import read_jsonl
-    from repro.obs.metrics import metrics_from_trace
+    from repro.obs.tracefold import metrics_from_trace
 
     registry = metrics_from_trace(read_jsonl(path))
     if fmt == "json":

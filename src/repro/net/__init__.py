@@ -34,6 +34,7 @@ if TYPE_CHECKING:
     from repro.net.node import NetNode, Timing
     from repro.net.runtime import (
         PROTOCOLS,
+        SHARD_TRANSPORTS,
         TRANSPORTS,
         NetConfig,
         NetResult,
@@ -41,7 +42,6 @@ if TYPE_CHECKING:
         run_sync,
     )
     from repro.net.shard import (
-        SHARD_TRANSPORTS,
         ShardFabric,
         ShardLink,
         ShardTransport,
@@ -81,11 +81,11 @@ __getattr__, __dir__ = lazy_exports(
         "mbnode": ("MBRingNode",),
         "node": ("NetNode", "Timing"),
         "runtime": (
-            "PROTOCOLS", "TRANSPORTS", "NetConfig", "NetResult", "run_async",
-            "run_sync",
+            "PROTOCOLS", "SHARD_TRANSPORTS", "TRANSPORTS", "NetConfig", "NetResult",
+            "run_async", "run_sync",
         ),
         "shard": (
-            "SHARD_TRANSPORTS", "ShardFabric", "ShardLink", "ShardTransport",
+            "ShardFabric", "ShardLink", "ShardTransport",
             "cross_edges", "partition_nodes", "run_sharded",
         ),
         "trace": (

@@ -37,9 +37,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.chaos.monitors import monitors_for
 from repro.chaos.plan import FaultPlan
-from repro.net.faults import FaultyTransport
 from repro.net.node import Timing
-from repro.net.shard import SHARD_TRANSPORTS, run_sharded
 from repro.net.transport import (
     Transport,
     create_mem_transports,
@@ -52,6 +50,7 @@ from repro.obs.tracer import NullTracer, Tracer
 
 PROTOCOLS = ("tree", "mb")
 TRANSPORTS = ("mem", "tcp", "unix")
+SHARD_TRANSPORTS = ("auto", "unix", "tcp")
 
 
 @dataclass(frozen=True)
@@ -324,21 +323,25 @@ def _node_builder(config: NetConfig) -> Callable[[int, Any, Any], tuple[Any, Any
 
 def _wrap_faulty(
     config: NetConfig, ports: Mapping[int, Transport], clock: Callable[[], float]
-) -> dict[int, Transport]:
-    """``ports`` (pid -> raw transport), each behind a
+) -> tuple[dict[int, Transport], list[Any]]:
+    """``(pid -> transport, the wrappers)``: each of ``ports`` behind a
     :class:`~repro.net.faults.FaultyTransport` when the plan carries
     link rates or partition windows; a crash-only plan leaves the
-    fabric untouched.  ``clock`` reads seconds since the run began --
-    the timeline partition windows are written on."""
+    fabric untouched and :mod:`repro.net.faults` unloaded.  ``clock``
+    reads seconds since the run began -- the timeline partition windows
+    are written on."""
     plan = config.plan
     if plan is None or not (
         (plan.link is not None and plan.link.any) or plan.partitions
     ):
-        return dict(ports)
-    return {
+        return dict(ports), []
+    from repro.net.faults import FaultyTransport
+
+    wrapped: dict[int, Transport] = {
         pid: FaultyTransport(port, plan, clock=clock, max_delay=config.max_delay)
         for pid, port in ports.items()
     }
+    return wrapped, list(wrapped.values())
 
 
 async def _then(node: Any, main: Any, done: Callable[[int], None] | None) -> None:
@@ -368,7 +371,7 @@ async def _run_group(
     plain picklable data (a worker ships it over a pipe);
     :func:`_assemble` folds any number of them into the result.
     """
-    transports = _wrap_faulty(config, ports, clock)
+    transports, faulty = _wrap_faulty(config, ports, clock)
     build_node = _node_builder(config)
     nodes: dict[int, Any] = {}
     mains = []
@@ -396,9 +399,8 @@ async def _run_group(
     wall_s = _time.perf_counter() - wall_start
 
     link_stats: Counter[str] = Counter()
-    for transport in transports.values():
-        if isinstance(transport, FaultyTransport):
-            link_stats.update(transport.stats)
+    for wrapper in faulty:
+        link_stats.update(wrapper.stats)
 
     # Per-node trace files: a ring recorder writes its snapshot segment
     # (header + surviving window), a plain tracer its full event list,
@@ -525,6 +527,8 @@ def _assemble(
 
 async def run_async(config: NetConfig) -> NetResult:
     if config.shards > 1:
+        from repro.net.shard import run_sharded
+
         # The sharded coordinator blocks on pipes and process joins;
         # keep this loop responsive while it runs.
         return await asyncio.to_thread(run_sharded, config)
@@ -640,5 +644,7 @@ def run_sync(config: NetConfig) -> NetResult:
     runs the single-loop path.
     """
     if config.shards > 1:
+        from repro.net.shard import run_sharded
+
         return run_sharded(config)
     return asyncio.run(run_async(config))

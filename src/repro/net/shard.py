@@ -89,8 +89,6 @@ from repro.net.transport import (
 #: interpreter start-up, imports and result shipping.
 STARTUP_GRACE = 30.0
 
-SHARD_TRANSPORTS = ("auto", "unix", "tcp")
-
 
 # ----------------------------------------------------------------------
 # Partitioning

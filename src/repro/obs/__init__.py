@@ -46,14 +46,11 @@ if TYPE_CHECKING:
     )
     from repro.obs.jsonl import iter_jsonl, read_jsonl, write_jsonl
     from repro.obs.metrics import (
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsError,
-        MetricsObserver,
-        MetricsRegistry,
+        Counter, Gauge, Histogram, MetricsError, MetricsRegistry,
+    )
+    from repro.obs.tracefold import MetricsObserver, metrics_from_trace
+    from repro.obs.exposition import (
         PromSample,
-        metrics_from_trace,
         parse_exposition,
         parse_prometheus_text,
         render_exposition,
@@ -87,10 +84,11 @@ __getattr__, __dir__ = lazy_exports(
         ),
         "causal": ("CausalReport", "FaultChain", "build_chains", "causal_report"),
         "jsonl": ("iter_jsonl", "read_jsonl", "write_jsonl"),
-        "metrics": (
-            "Counter", "Gauge", "Histogram", "MetricsError", "MetricsObserver",
-            "MetricsRegistry", "PromSample", "metrics_from_trace", "parse_exposition",
-            "parse_prometheus_text", "render_exposition",
+        "metrics": ("Counter", "Gauge", "Histogram", "MetricsError", "MetricsRegistry"),
+        "tracefold": ("MetricsObserver", "metrics_from_trace"),
+        "exposition": (
+            "PromSample", "parse_exposition", "parse_prometheus_text",
+            "render_exposition",
         ),
         "summary": ("TraceSummary", "summarize"),
         "tracer": ("NULL_TRACER", "NullTracer", "ObsError", "Tracer", "ensure_tracer"),

@@ -14,7 +14,7 @@ does the same work *while the nodes run*, with bounded per-node memory:
   :class:`~repro.obs.recorder.FlightRecorder` rings into one merger and
   fans the merged stream out to the PR-4 :class:`MonitorSet` (fed
   directly, no tracer), the :class:`~repro.obs.spans.SpanFolder`, and a
-  :class:`~repro.obs.metrics.MetricsObserver` -- so violations surface
+  :class:`~repro.obs.tracefold.MetricsObserver` -- so violations surface
   mid-run with the span that was open when they fired, and ``/metrics``
   can be scraped while barriers are still completing.
 
@@ -36,7 +36,7 @@ from repro.obs.events import (
     RECOVERY,
     ObsEvent,
 )
-from repro.obs.metrics import MetricsObserver
+from repro.obs.tracefold import MetricsObserver
 from repro.obs.recorder import FlightRecorder, digest_of_rows
 from repro.obs.spans import SpanFolder
 

@@ -32,7 +32,7 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.obs.causal import _quantile
-from repro.obs.metrics import metrics_from_trace
+from repro.obs.tracefold import metrics_from_trace
 from repro.obs.summary import summarize
 from repro.obs.tracer import NullTracer, Tracer
 from repro.perf.gate import Row, Suite

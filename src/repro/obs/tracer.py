@@ -261,7 +261,7 @@ class Tracer(NullTracer):
     # -- listeners ------------------------------------------------------
     def subscribe(self, listener: Any) -> None:
         """Call ``listener(event)`` for every event emitted from now on
-        (the live wiring for :class:`repro.obs.metrics.MetricsObserver`)."""
+        (the live wiring for :class:`repro.obs.tracefold.MetricsObserver`)."""
         self._listeners.append(listener)
 
     def unsubscribe(self, listener: Any) -> None:

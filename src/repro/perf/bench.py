@@ -39,7 +39,8 @@ digests) exactly against ``benchmarks/BASELINE_perf.json``, and
   the cold run.
 
 A ratio is a best-of-repeats time against a best-of-repeats time, and
-each repeat runs every mode once, in turn: a change in the machine's speed
+each repeat runs every mode in turn, a compiled one as back-to-back runs
+that fill the incremental run's time: a change in the machine's speed
 lands on both sides of a ratio, not on one.  ``--quick`` runs the same
 suite: deterministic quantities come from fixed step counts, and the
 ratio floors hold only over all ``--repeats`` (default 3).
@@ -151,47 +152,53 @@ def _run_kernel_once(
     return elapsed, facts
 
 
-def bench_kernel(
-    repeats: int, modes: tuple[str, ...] = KERNEL_MODES
-) -> dict[str, Any]:
-    """Every program x daemon in ``modes``; each repeat runs the modes
-    in turn, and each mode keeps its best time."""
+def bench_kernel(repeats: int) -> dict[str, Any]:
+    """Every program x daemon in every mode; each repeat runs the modes
+    in turn, and each mode keeps its best time.  A compiled sample fills
+    the same repeat's incremental time: a compiled MB n=8 run lasts ~65 ms
+    against the interpreter's ~250 ms, and timed alone its best-of-repeats
+    rarely escapes a slow phase of the box that the interpreter's longer
+    runs average over."""
     deterministic: dict[str, Any] = {}
     ratios: dict[str, Any] = {}
     wall: dict[str, Any] = {}
     for prog_name in KERNEL_PROGRAMS:
         for daemon_name in KERNEL_DAEMONS:
-            times = dict.fromkeys(modes, float("inf"))
+            times = dict.fromkeys(KERNEL_MODES, float("inf"))
             facts: dict[str, dict[str, Any]] = {}
             for _ in range(repeats):
-                for mode in modes:
-                    elapsed, facts[mode] = _run_kernel_once(
-                        prog_name, daemon_name, mode
-                    )
-                    times[mode] = min(times[mode], elapsed)
+                window_s = 0.0
+                for mode in KERNEL_MODES:  # full, incremental, compiled
+                    runs, total = 0, 0.0
+                    while runs == 0 or (mode == "compiled" and total < window_s):
+                        elapsed, facts[mode] = _run_kernel_once(
+                            prog_name, daemon_name, mode
+                        )
+                        runs, total = runs + 1, total + elapsed
+                    if mode == "incremental":
+                        window_s = total
+                    times[mode] = min(times[mode], total / runs)
             name = f"{prog_name}/{daemon_name}"
-            ref = modes[-1] if len(modes) == 1 else "incremental"
-            det = deterministic[name] = dict(facts[ref])
-            wall[name] = {f"{mode}_s": times[mode] for mode in modes}
-            wall[name][f"steps_per_s_{ref}"] = KERNEL_STEPS / times[ref]
-            ratios[name] = {}
-            if "full" in times and "incremental" in times:
-                det["trace_identical"] = facts["full"] == facts["incremental"]
-                ratios[name]["ratio"] = times["full"] / times["incremental"]
-            if "compiled" in times and "incremental" in times:
-                det["compiled_identical"] = (
-                    facts["compiled"] == facts["incremental"]
-                )
-                ratios[name]["compiled_ratio"] = (
-                    times["incremental"] / times["compiled"]
-                )
+            deterministic[name] = {
+                **facts["incremental"],
+                "trace_identical": facts["full"] == facts["incremental"],
+                "compiled_identical": facts["compiled"] == facts["incremental"],
+            }
+            wall[name] = {f"{mode}_s": times[mode] for mode in KERNEL_MODES}
+            wall[name]["steps_per_s_incremental"] = (
+                KERNEL_STEPS / times["incremental"]
+            )
+            ratios[name] = {
+                "ratio": times["full"] / times["incremental"],
+                "compiled_ratio": times["incremental"] / times["compiled"],
+            }
     for prog_name, key, ratio in (
         ("rb8", "headline_speedup", "ratio"),
         ("mb8", "compiled_headline_speedup", "compiled_ratio"),
     ):
-        best = [ratios[f"{prog_name}/{d}"].get(ratio) for d in KERNEL_DAEMONS]
-        if None not in best:
-            ratios[prog_name] = {key: max(best)}
+        ratios[prog_name] = {
+            key: max(ratios[f"{prog_name}/{d}"][ratio] for d in KERNEL_DAEMONS)
+        }
     return {"deterministic": deterministic, "ratios": ratios, "wall": wall}
 
 

@@ -4,10 +4,11 @@ One fresh interpreter per entry point, asserting on **counts, not
 timings**: the heavy third-party packages and the simulation engines
 stay out of ``sys.modules``, the module count stays under a recorded
 ceiling (the eager ``__init__``s loaded ~700 modules for any of these;
-the dependency cones measure 85-195 after import on CPython 3.11.7), and
-running a first job afterwards loads no further ``repro.*``/numpy/networkx
-module -- nothing was merely deferred into first use.  See DESIGN.md,
-"Import layering".
+the dependency cones measure 85-195 after import on CPython 3.11.7), so
+do the ``repro`` source lines those modules compile (a module count
+cannot see one 842-line module), and running a first job afterwards
+loads no further ``repro.*``/numpy/networkx module -- nothing was merely
+deferred into first use.  See DESIGN.md, "Import layering".
 
 Counts are taken from a bare start: the child runs under ``-S`` with the
 site directories on ``PYTHONPATH``, and the probe imports ``site`` itself,
@@ -47,11 +48,21 @@ THIRD_PARTY = ("numpy", "networkx")
 #: channel's framing) is imported inside the functions that launch workers.
 NET_BANNED = BANNED + ("multiprocessing",)
 
+#: A clean single-loop run shards nothing and wraps no link.
+CLEAN_NET_BANNED = NET_BANNED + ("repro.net.shard", "repro.net.faults")
+
+#: The daemon increments a registry; it folds no trace and reads no
+#: exposition text.
+SERVE_BANNED = BANNED + (
+    "repro.obs.summary", "repro.obs.tracefold", "repro.obs.exposition",
+)
+
 #: A shard worker runs one group of nodes; it serves nobody, sweeps
 #: nothing and aggregates no metrics.
 WORKER_BANNED = THIRD_PARTY + (
     "repro.experiments", "repro.serve", "repro.chaos.adapters",
-    "repro.chaos.campaign", "repro.obs.metrics",
+    "repro.chaos.campaign", "repro.obs.metrics", "repro.obs.tracefold",
+    "repro.obs.exposition",
 )
 
 #: A 2-barrier 3-node tree job over the memory transport.
@@ -59,6 +70,14 @@ TREE_JOB = """
 from repro.net.runtime import NetConfig, run_sync
 result = run_sync(NetConfig(nodes=3, barriers=2, protocol="tree", transport="mem"))
 assert result.ok and result.reached and result.completed == 2, result
+"""
+
+#: The same job under a seeded lossy link plan: every port is wrapped.
+LOSSY_JOB = """
+from repro.chaos.plan import FaultPlan, LinkPlan
+plan = FaultPlan(nprocs=3, seed=5, link=LinkPlan(loss=0.2, duplication=0.1))
+result = run_sync(NetConfig(nodes=3, barriers=3, transport="mem", plan=plan))
+assert result.ok and result.reached and result.link_stats["dropped"] > 0, result
 """
 
 #: One group, two clients, two barriers against an in-process daemon.
@@ -96,35 +115,55 @@ for engine in ("gc:mb", "gc:mb+compiled"):
     assert outcome.successful_phases == 40 and outcome.faults_fired == 8, outcome
 """
 
-#: name -> (imports, module-count ceiling, first job or None, banned).
-#: A ceiling is the bare-start count on CPython 3.11.7 plus 11-18
-#: modules: gc 112, repro.chaos.plan 85, repro.net 184, repro.net.shard
-#: 167, repro.obs 88, repro.serve 173, repro.serve.cli 149, shard worker
-#: 195.
+#: name -> (imports, module-count ceiling, source-line ceiling, first job
+#: or None, banned).  A module ceiling is the bare-start count on CPython
+#: 3.11.7 plus 11-18 modules: gc 112, repro.chaos.plan 85, repro.net 182,
+#: repro.net lossy 183, repro.net.shard 167, repro.obs 88, repro.serve
+#: 171, repro.serve.cli 149, shard worker 194.  A line ceiling is the
+#: ``repro`` source lines those modules hold rounded up to a hundred,
+#: plus a hundred: room for ordinary growth, none for a module the size
+#: of the ones this budget keeps out (gc 6152, repro.chaos.plan 640,
+#: repro.net 4525, repro.net lossy 4749, repro.net.shard 1668, repro.obs
+#: 894, repro.serve 3076, repro.serve.cli 384, shard worker 5208).
 ENTRY_POINTS = {
     "repro.net": (
-        "from repro.net import NetConfig, run_sync", 200, TREE_JOB, NET_BANNED
+        "from repro.net import NetConfig, run_sync",
+        198,
+        4700,
+        TREE_JOB,
+        CLEAN_NET_BANNED,
     ),
-    "repro.net.shard": ("import repro.net.shard", 185, None, NET_BANNED),
+    # A lossy plan wraps every port in ``FaultyTransport``: the module is
+    # named here so the job may load nothing further.
+    "repro.net lossy": (
+        "from repro.net import NetConfig, run_sync\nimport repro.net.faults",
+        199,
+        4900,
+        LOSSY_JOB,
+        NET_BANNED + ("repro.net.shard",),
+    ),
+    "repro.net.shard": ("import repro.net.shard", 185, 1800, None, NET_BANNED),
     # Everything a worker process imports, whoever launched it: the
     # bootstrap's framing class and ``repro.net.shard``, the ``NetConfig``
     # its ``ShardSpec`` unpickles to, and what ``_worker_async`` imports.
     "shard worker": (
         "from multiprocessing.connection import Connection\n"
         "import repro.net.shard, repro.net.runtime, repro.obs.recorder",
-        206,
+        205,
+        5400,
         None,
         WORKER_BANNED,
     ),
     "repro.serve": (
         "import repro.serve.daemon, repro.serve.loadgen",
-        190,
+        188,
+        3200,
         SERVE_ROUND,
-        BANNED,
+        SERVE_BANNED,
     ),
-    "repro.serve.cli": ("import repro.serve.cli", 165, None, BANNED),
-    "repro.chaos.plan": ("import repro.chaos.plan", 100, None, BANNED),
-    "repro.obs": ("from repro.obs import Tracer, summarize", 105, None, BANNED),
+    "repro.serve.cli": ("import repro.serve.cli", 165, 500, None, BANNED),
+    "repro.chaos.plan": ("import repro.chaos.plan", 100, 800, None, BANNED),
+    "repro.obs": ("from repro.obs import Tracer, summarize", 105, 1000, None, BANNED),
     # A gc chaos target: the registry and the plan, then the engine the
     # adapter imports on its first run (named here so the job may load
     # nothing further).  numpy alone would add ~100 modules.
@@ -133,6 +172,7 @@ ENTRY_POINTS = {
         "import repro.chaos.plan, repro.barrier.mb, repro.obs.observer\n"
         "import repro.gc.faults, repro.gc.scheduler, repro.gc.simulator",
         130,
+        6300,
         GC_JOB,
         THIRD_PARTY,
     ),
@@ -187,14 +227,28 @@ def _loaded(modules: list[str], banned: str) -> list[str]:
     return [m for m in modules if m == banned or m.startswith(banned + ".")]
 
 
+def _source_lines(modules: list[str]) -> int:
+    """Lines of ``repro`` source behind ``modules`` -- what a start-up
+    without bytecode caches compiles."""
+    total = 0
+    for module in modules:
+        if module.split(".")[0] != "repro":
+            continue
+        path = SRC.joinpath(*module.split("."))
+        path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+        total += len(path.read_text().splitlines())
+    return total
+
+
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_point_stays_inside_its_cone(name):
-    imports, ceiling, job, banned_here = ENTRY_POINTS[name]
+    imports, ceiling, line_ceiling, job, banned_here = ENTRY_POINTS[name]
     seen = _probe(imports, job)
     for stage, modules in seen.items():
         for banned in banned_here:
             assert not _loaded(modules, banned), (stage, banned)
         assert len(modules) < ceiling, (stage, len(modules))
+        assert _source_lines(modules) < line_ceiling, (stage, _source_lines(modules))
     # Not a deferral: the first job found everything it needs loaded.
     gained = set(seen["after_job"]) - set(seen["after_import"])
     assert not sorted(m for m in gained if _is_budgeted(m))
@@ -202,7 +256,7 @@ def test_entry_point_stays_inside_its_cone(name):
 
 def test_net_job_leaves_the_chaos_adapter_registry_unloaded():
     # A run needs the monitors and the plan, not the 22 engine adapters.
-    imports, _ceiling, job, _banned = ENTRY_POINTS["repro.net"]
+    imports, _ceiling, _lines, job, _banned = ENTRY_POINTS["repro.net"]
     assert not _loaded(_probe(imports, job)["after_job"], "repro.chaos.adapters")
 
 

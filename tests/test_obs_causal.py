@@ -242,7 +242,7 @@ class TestReportsOnEveryEngine:
 
     def test_cli_reports_run_and_prom_parses(self, trace_path, capsys):
         from repro.experiments.cli import main as cli_main
-        from repro.obs.metrics import parse_prometheus_text
+        from repro.obs import parse_prometheus_text
 
         assert cli_main(["metrics-report", str(trace_path)]) == 0
         assert "barrier_events_total" in capsys.readouterr().out

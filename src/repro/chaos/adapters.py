@@ -18,7 +18,8 @@ land inside the run).
 
 Every simulated run goes through :func:`_monitored`, which wires the
 guarantee monitors *online* (subscribed to the tracer before the engine
-starts) and returns a uniform :class:`RunOutcome`.  Capabilities differ
+starts) and returns a uniform :class:`RunOutcome` that keeps only the
+protocol events, so it grows with rounds, not steps.  Capabilities differ
 -- the collective engine only models detectable resets, the network
 layer only exists under the DES and net targets -- and are declared
 (:attr:`supports_undetectable`, :attr:`supports_link`) so campaign
@@ -33,7 +34,8 @@ from typing import Any, Callable
 
 from repro.chaos.monitors import GuaranteeViolation, MonitorSet, monitors_for
 from repro.chaos.plan import CampaignConfig, FaultPlan
-from repro.obs.tracer import Tracer
+from repro.obs.events import PROTOCOL_KINDS, ObsEvent
+from repro.obs.tracer import StreamTracer, Tracer
 
 
 @dataclass
@@ -49,8 +51,8 @@ class RunOutcome:
     violations: list[GuaranteeViolation] = field(default_factory=list)
     #: Convergence spans the stabilization monitor measured.
     spans: list[float] = field(default_factory=list)
-    #: The run's traced events (merged order for net targets) -- kept
-    #: in memory for streaming-vs-post-hoc replay; not serialized.
+    #: The run's :data:`PROTOCOL_KINDS` events (merged order for net
+    #: targets) -- in memory for replay and its digest; not serialized.
     events: tuple = ()
 
     @property
@@ -116,10 +118,8 @@ class Adapter:
         return self.runner(self, plan, cfg)
 
 
-def _successes(tracer: Tracer) -> int:
-    return sum(
-        1 for e in tracer.events if e.kind == "phase_end" and e.data.get("success")
-    )
+def _successes(events: tuple[ObsEvent, ...]) -> int:
+    return sum(1 for e in events if e.kind == "phase_end" and e.data.get("success"))
 
 
 def _monitored(
@@ -127,24 +127,29 @@ def _monitored(
     plan: FaultPlan,
     nphases: int | None,
     body: Callable[[Tracer], tuple[bool, float]],
+    min_successes: int = 0,
 ) -> RunOutcome:
     """Run ``body(tracer) -> (reached, end_time)`` under the plan's
-    monitor battery, subscribed before the engine emits anything."""
-    tracer = Tracer()
+    monitor battery, subscribed before the engine emits anything; short
+    of ``min_successes`` successful phases, a run has not reached."""
+    tracer = StreamTracer()
     monitor_set = MonitorSet(tracer, monitors_for(plan, nphases))
     reached, end_time = body(tracer)
+    events = monitor_set.events
+    if min_successes and _successes(events) < min_successes:
+        reached = False
     monitor_set.finish(reached, end_time)
     return RunOutcome(
         target=adapter.name,
         plan=plan,
         reached=reached,
         end_time=end_time,
-        faults_fired=sum(1 for e in tracer.events if e.kind == "fault"),
+        faults_fired=sum(1 for e in events if e.kind == "fault"),
         successful_phases=int(tracer.counters.get("obs.phases_successful", 0))
-        or _successes(tracer),
+        or _successes(events),
         violations=monitor_set.violations,
         spans=monitor_set.spans,
-        events=tuple(tracer.events),
+        events=events,
     )
 
 
@@ -382,10 +387,10 @@ def _run_simmpi(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOu
             rt.run(worker, until=cfg.max_time)
         except Exception:
             reached = False
-        return reached and _successes(tracer) >= target, float(rt.sim.now)
+        return reached, float(rt.sim.now)
 
     # Collective ids count up from 0 without wrapping -> nphases=None.
-    return _monitored(adapter, plan, None, body)
+    return _monitored(adapter, plan, None, body, min_successes=target)
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +500,7 @@ def _run_net(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOutco
         successful_phases=result.successful_phases,
         violations=list(result.violations),
         spans=list(result.spans),
-        events=tuple(result.merged_events),
+        events=tuple(e for e in result.merged_events if e.kind in PROTOCOL_KINDS),
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.events import FAULT, PHASE_END, PHASE_START, ObsEvent
+from repro.obs.events import FAULT, PHASE_END, PHASE_START, PROTOCOL_KINDS, ObsEvent
 
 if TYPE_CHECKING:
     from repro.chaos.plan import FaultPlan
@@ -37,8 +37,9 @@ if TYPE_CHECKING:
 class GuaranteeViolation(Exception):
     """A guarantee the paper proves was observed to fail.
 
-    ``trace_prefix`` is the flat-JSON event list up to and including the
-    violating event -- enough to rebuild the failing history -- and
+    ``trace_prefix`` is the flat-JSON monitor stream (the
+    :data:`~repro.obs.events.PROTOCOL_KINDS` events) up to and including
+    the violating event -- enough to rebuild the failing history -- and
     ``data`` carries monitor-specific context (expected/observed phase,
     fault counts, spans).
     """
@@ -459,8 +460,10 @@ def monitors_for(plan: FaultPlan, nphases: int | None, strict: bool = True):
 class MonitorSet:
     """Wire monitors into one tracer; collect everything they find.
 
-    One subscription feeds a shared event buffer (so every violation's
-    trace prefix is captured once) and fans out to each monitor.
+    One subscription feeds a shared buffer of the
+    :data:`~repro.obs.events.PROTOCOL_KINDS` events (so every
+    violation's trace prefix is captured once) and fans them out to
+    each monitor; other kinds are dropped on arrival.
     """
 
     def __init__(self, tracer: Any | None, monitors: list[Monitor]) -> None:
@@ -473,6 +476,8 @@ class MonitorSet:
             tracer.subscribe(self._on_event)
 
     def _on_event(self, event: ObsEvent) -> None:
+        if event.kind not in PROTOCOL_KINDS:
+            return
         self._events.append(event)
         for m in self.monitors:
             m.on_event(event)
@@ -489,6 +494,11 @@ class MonitorSet:
             m.finish(reached, time)
         if self.tracer is not None:
             self.tracer.unsubscribe(self._on_event)
+
+    @property
+    def events(self) -> tuple[ObsEvent, ...]:
+        """The monitor stream so far, in arrival order."""
+        return tuple(self._events)
 
     @property
     def violations(self) -> list[GuaranteeViolation]:

@@ -47,6 +47,15 @@ from typing import Any, Callable, Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
+#: The ``reason`` of a set-aside cache entry or point, and of its warning.
+REASONS = ("corrupt-cache", "timeout", "crash", "error")
+
+
+def _warn(message: str, record: dict[str, Any]) -> None:
+    """One warning per set-aside: ``message`` ends with the reason, and
+    ``record`` rides as the log record's ``sweep`` attribute."""
+    logger.warning("%s [%s]", message, record["reason"], extra={"sweep": record})
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -196,14 +205,18 @@ class SweepExecutor:
                 entry = json.load(fh)
         except OSError:
             return False, None
-        except ValueError:
+        except ValueError as exc:
+            problem = f"not JSON ({exc})"
+        else:
+            problem = "" if isinstance(entry, dict) else "not a JSON object"
+        if problem:
             # Corrupt or truncated cache entry (killed writer, disk
             # trouble): a miss -- recompute, and the fresh store
             # overwrites the bad file.
-            logger.warning("discarding corrupt sweep cache entry %s", path)
-            return False, None
-        if not isinstance(entry, dict):
-            logger.warning("discarding corrupt sweep cache entry %s", path)
+            _warn(
+                f"discarding corrupt sweep cache entry {path}: {problem}",
+                {"reason": "corrupt-cache", "path": path, "error": problem},
+            )
             return False, None
         if entry.get("fn") != pt.fn or entry.get("kwargs") != _normalize(
             dict(pt.kwargs)
@@ -316,32 +329,25 @@ class SweepExecutor:
             )
             active[parent_conn] = (index, attempt, deadline, proc)
 
-        def settle(index: int, attempt: int, error: str) -> None:
+        def settle(index: int, attempt: int, reason: str, error: str) -> None:
             nonlocal retried
             if attempt < self.retries:
                 retried += 1
                 delay = self.backoff_s * (2**attempt)
                 pending.append((index, attempt + 1, time.monotonic() + delay))
             else:
-                given_up.append(
-                    (
-                        index,
-                        {
-                            "index": index,
-                            "point": {
-                                "fn": pts[index].fn,
-                                "kwargs": dict(pts[index].kwargs),
-                            },
-                            "error": error,
-                            "attempts": attempt + 1,
-                        },
-                    )
-                )
-                logger.warning(
-                    "sweep point %s gave up after %d attempt(s): %s",
-                    pts[index].fn,
-                    attempt + 1,
-                    error,
+                record = {
+                    "index": index,
+                    "point": {"fn": pts[index].fn, "kwargs": dict(pts[index].kwargs)},
+                    "reason": reason,
+                    "error": error,
+                    "attempts": attempt + 1,
+                }
+                given_up.append((index, record))
+                _warn(
+                    f"sweep point {index} ({pts[index].fn}) gave up after "
+                    f"{attempt + 1} attempt(s): {error}",
+                    record,
                 )
 
         while pending or active:
@@ -386,10 +392,11 @@ class SweepExecutor:
                     settle(
                         index,
                         attempt,
+                        "crash",
                         f"worker died (exit code {proc.exitcode})",
                     )
                 else:
-                    settle(index, attempt, payload)
+                    settle(index, attempt, "error", payload)
             now = time.monotonic()
             expired = [
                 conn
@@ -401,7 +408,7 @@ class SweepExecutor:
                 proc.terminate()
                 proc.join()
                 conn.close()
-                settle(index, attempt, f"timeout after {self.timeout_s}s")
+                settle(index, attempt, "timeout", f"timeout after {self.timeout_s}s")
         given_up.sort(key=lambda item: item[0])
         self.failed = [pts[index] for index, _record in given_up]
         self.failures = [record for _index, record in given_up]

@@ -235,6 +235,9 @@ class CompiledProgram(EnabledIndex):
         "_round_memo", "_prev_round", "_pending_prev", "_cells",
     )  # fmt: skip
 
+    #: Memoized guards beat the plain scan even at ~1 evaluation a step.
+    eager = True
+
     def __init__(self, program: Program, codec: StateCodec | None = None) -> None:
         super().__init__(program)
         self.codec = codec or StateCodec(program)

@@ -69,6 +69,9 @@ class EnabledIndex:
         "_dirty", "_enabled",
     )  # fmt: skip
 
+    #: True: the round-robin daemon engages this engine without its probe.
+    eager = False
+
     def __init__(self, program: Program) -> None:
         self.program = program
         self.actions: tuple[Action, ...] = tuple(program.actions())

@@ -32,7 +32,6 @@ from typing import Any, Protocol
 
 from repro._pcg64 import Rng, make_rng
 from repro.gc.actions import Action, apply_updates
-from repro.gc.compile import CompiledProgram
 from repro.gc.incremental import EnabledIndex
 from repro.gc.program import Program
 from repro.gc.state import State
@@ -81,8 +80,11 @@ def _select_engine(
     else.  ``backend="compiled"`` always gets the memoizing engine; the
     live engine only pays for itself when ``incremental`` is asked for
     and some action declares its reads; ``None`` means the plain
-    evaluate-every-guard body, which is always correct."""
+    evaluate-every-guard body, which is always correct.  The compiled
+    backend is imported only here, where it is selected."""
     if _check_backend(backend) == "compiled":
+        from repro.gc.compile import CompiledProgram
+
         return CompiledProgram(program)
     if incremental:
         engine = EnabledIndex(program)
@@ -161,10 +163,10 @@ class RoundRobinDaemon(_EngineMixin):
             # New program (or first step): restart the adaptation.  The
             # probe weighs the live engine's bookkeeping against the
             # scan; memoized guards beat the scan even at ~1 evaluation
-            # per step, so the compiled engine engages at once -- and
+            # per step, so the compiled engine is ``eager`` -- and
             # without an engine there is nothing to probe for.
             engine = self._engine_for(program)
-            self._engaged = isinstance(engine, CompiledProgram)
+            self._engaged = engine is not None and engine.eager
             self._declined = engine is None
             self._evals = 0
             self._steps = 0

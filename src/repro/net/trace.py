@@ -28,14 +28,11 @@ from repro.obs.events import (
     FAULT,
     PHASE_END,
     PHASE_START,
+    PROTOCOL_KINDS,
     RECOVERY,
     ObsEvent,
 )
-from repro.obs.recorder import (
-    PROTOCOL_KINDS,
-    digest_of_rows,
-    projection_row,
-)
+from repro.obs.recorder import digest_of_rows, projection_row
 
 __all__ = [
     "PROTOCOL_KINDS",

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
         MSG_SEND,
         PHASE_END,
         PHASE_START,
+        PROTOCOL_KINDS,
         RECOVERY,
         TOKEN_PASS,
         ObsEvent,
@@ -59,7 +60,6 @@ if TYPE_CHECKING:
     from repro.obs.tracer import NULL_TRACER, NullTracer, ObsError, Tracer, ensure_tracer
     from repro.obs.observer import BarrierPhaseObserver
     from repro.obs.recorder import (
-        PROTOCOL_KINDS,
         SNAPSHOT_KIND,
         FlightRecorder,
         digest_of_rows,
@@ -80,7 +80,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         "events": (
             "DETECT", "EVENT_KINDS", "FAULT", "MSG_RECV", "MSG_SEND", "PHASE_END",
-            "PHASE_START", "RECOVERY", "TOKEN_PASS", "ObsEvent",
+            "PHASE_START", "PROTOCOL_KINDS", "RECOVERY", "TOKEN_PASS", "ObsEvent",
         ),
         "causal": ("CausalReport", "FaultChain", "build_chains", "causal_report"),
         "jsonl": ("iter_jsonl", "read_jsonl", "write_jsonl"),
@@ -94,8 +94,8 @@ __getattr__, __dir__ = lazy_exports(
         "tracer": ("NULL_TRACER", "NullTracer", "ObsError", "Tracer", "ensure_tracer"),
         "observer": ("BarrierPhaseObserver",),
         "recorder": (
-            "PROTOCOL_KINDS", "SNAPSHOT_KIND", "FlightRecorder", "digest_of_rows",
-            "projection_row", "read_snapshot",
+            "SNAPSHOT_KIND", "FlightRecorder", "digest_of_rows", "projection_row",
+            "read_snapshot",
         ),
         "spans": ("Span", "SpanFolder"),
         "live": (

@@ -57,6 +57,10 @@ EVENT_KINDS = frozenset(
     }
 )
 
+#: The kinds the paper's guarantees are stated over, O(rounds): the replay
+#: digest's projection, the monitor stream, a chaos run's kept events.
+PROTOCOL_KINDS = frozenset({PHASE_START, PHASE_END, FAULT, DETECT, RECOVERY})
+
 #: JSON keys that carry the event envelope rather than payload data.
 RESERVED_KEYS = frozenset({"kind", "t", "pid"})
 

@@ -30,19 +30,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.obs.events import (
-    DETECT,
-    FAULT,
-    PHASE_END,
-    PHASE_START,
-    RECOVERY,
-    ObsEvent,
-)
+from repro.obs.events import PROTOCOL_KINDS, ObsEvent
 from repro.obs.tracer import Tracer
-
-#: Event kinds that enter the digest projection and the monitor stream
-#: (the canonical definition; :mod:`repro.net.trace` re-exports it).
-PROTOCOL_KINDS = frozenset({PHASE_START, PHASE_END, FAULT, DETECT, RECOVERY})
 
 #: Header marker of a snapshot segment's first line.
 SNAPSHOT_KIND = "flight-recorder-snapshot"

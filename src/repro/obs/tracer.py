@@ -302,3 +302,11 @@ class Tracer(NullTracer):
         tracer = cls()
         tracer._events.extend(events)
         return tracer
+
+
+class StreamTracer(Tracer):
+    """A tracer that keeps no events -- counters, timers and subscribers
+    only -- for a run whose consumers keep what they read (a MonitorSet)."""
+
+    def _keep(self, event: ObsEvent) -> None:
+        pass

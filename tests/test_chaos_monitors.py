@@ -275,6 +275,37 @@ class TestMonitorSet:
         assert again.trace_prefix == v.trace_prefix
         assert "overlap" in str(again) and "masking" in str(again)
 
+    def test_prefix_is_the_monitor_stream(self):
+        # Token and message rows precede the violation; the prefix keeps
+        # the protocol events only, the violating one last, on both paths.
+        script = [
+            ("phase_start", 0.0, 0),
+            ("token_pass", 0.1, 0, 1),
+            ("msg_send", 0.2, 0, 1),
+            ("msg_recv", 0.3, 0, 1),
+            ("phase_end", 0.4, 0, True),
+            ("token_pass", 0.5, 1, 2),
+            ("phase_start", 0.6, 1),
+            ("msg_send", 0.7, 1, 2),
+            ("phase_start", 0.8, 2),  # overlap
+            ("token_pass", 0.9, 2, 0),
+        ]
+        subscribed = feed([MaskingMonitor()], script)
+        tracer = Tracer()
+        for kind, *args in script:
+            getattr(tracer, kind)(*args)
+        fed = MonitorSet(None, [MaskingMonitor()])
+        for event in tracer.events:
+            fed.feed(event)
+        (v,) = subscribed.violations
+        assert [e["kind"] for e in v.trace_prefix] == [
+            "phase_start", "phase_end", "phase_start", "phase_start",
+        ]
+        assert v.trace_prefix[-1] == {
+            "kind": "phase_start", "t": 0.8, "pid": 0, "phase": 2,
+        }
+        assert [x.to_json() for x in fed.violations] == [v.to_json()]
+
 
 class TestIntolerantPositiveControl:
     """The fault-intolerant baseline must trip the monitors -- this is

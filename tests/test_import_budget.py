@@ -103,28 +103,37 @@ assert [o["outcome"] for o in result.outcomes] == ["finished"] * 2, result.outco
 """
 
 #: The bench's ``gc_mb_faulty`` unit in small: one generated plan (6
-#: detectable + 2 undetectable faults) through MB on both backends.
+#: detectable + 2 undetectable faults) through MB on ``{engine}``.
 GC_JOB = """
 plan = FaultPlan.generate(
     3, 8, detectable=6, undetectable=2, start=50, stop=800, steps=True
 )
 config = CampaignConfig(nprocs=8, nphases=4, target_phases=40, max_steps=10**6)
-for engine in ("gc:mb", "gc:mb+compiled"):
-    outcome = get_adapter(engine).run(plan, config)
-    assert outcome.ok and outcome.reached and not outcome.violations, outcome
-    assert outcome.successful_phases == 40 and outcome.faults_fired == 8, outcome
+outcome = get_adapter("{engine}").run(plan, config)
+assert outcome.ok and outcome.reached and not outcome.violations, outcome
+assert outcome.successful_phases == 40 and outcome.faults_fired == 8, outcome
 """
+
+#: A gc chaos target: the registry and the plan, then the engine the
+#: adapter imports on its first run (named here so the job may load
+#: nothing further).
+GC_IMPORTS = (
+    "from repro.chaos import CampaignConfig, FaultPlan, get_adapter\n"
+    "import repro.chaos.plan, repro.barrier.mb, repro.obs.observer\n"
+    "import repro.gc.faults, repro.gc.scheduler, repro.gc.simulator"
+)
 
 #: name -> (imports, module-count ceiling, source-line ceiling, first job
 #: or None, banned).  A module ceiling is the bare-start count on CPython
-#: 3.11.7 plus 11-18 modules: gc 112, repro.chaos.plan 85, repro.net 182,
-#: repro.net lossy 183, repro.net.shard 167, repro.obs 88, repro.serve
-#: 171, repro.serve.cli 149, shard worker 194.  A line ceiling is the
-#: ``repro`` source lines those modules hold rounded up to a hundred,
-#: plus a hundred: room for ordinary growth, none for a module the size
-#: of the ones this budget keeps out (gc 6152, repro.chaos.plan 640,
-#: repro.net 4525, repro.net lossy 4749, repro.net.shard 1668, repro.obs
-#: 894, repro.serve 3076, repro.serve.cli 384, shard worker 5208).
+#: 3.11.7 plus 11-18 modules: gc 111, gc compiled 112, repro.chaos.plan
+#: 85, repro.net 182, repro.net lossy 183, repro.net.shard 167, repro.obs
+#: 88, repro.serve 171, repro.serve.cli 149, shard worker 194.  A line
+#: ceiling is the ``repro`` source lines those modules hold rounded up to
+#: a hundred, plus a hundred: room for ordinary growth, none for a module
+#: the size of the ones this budget keeps out (gc 5491, gc compiled 6195,
+#: repro.chaos.plan 640, repro.net 4526, repro.net lossy 4750,
+#: repro.net.shard 1668, repro.obs 899, repro.serve 3076, repro.serve.cli
+#: 384, shard worker 5209).
 ENTRY_POINTS = {
     "repro.net": (
         "from repro.net import NetConfig, run_sync",
@@ -164,16 +173,20 @@ ENTRY_POINTS = {
     "repro.serve.cli": ("import repro.serve.cli", 165, 500, None, BANNED),
     "repro.chaos.plan": ("import repro.chaos.plan", 100, 800, None, BANNED),
     "repro.obs": ("from repro.obs import Tracer, summarize", 105, 1000, None, BANNED),
-    # A gc chaos target: the registry and the plan, then the engine the
-    # adapter imports on its first run (named here so the job may load
-    # nothing further).  numpy alone would add ~100 modules.
+    # numpy alone would add ~100 modules.  An interpreter run never loads
+    # the compiled backend: it is imported where it is selected.
     "gc": (
-        "from repro.chaos import CampaignConfig, FaultPlan, get_adapter\n"
-        "import repro.chaos.plan, repro.barrier.mb, repro.obs.observer\n"
-        "import repro.gc.faults, repro.gc.scheduler, repro.gc.simulator",
+        GC_IMPORTS,
+        129,
+        5600,
+        GC_JOB.format(engine="gc:mb"),
+        THIRD_PARTY + ("repro.gc.compile",),
+    ),
+    "gc compiled": (
+        GC_IMPORTS + "\nimport repro.gc.compile",
         130,
         6300,
-        GC_JOB,
+        GC_JOB.format(engine="gc:mb+compiled"),
         THIRD_PARTY,
     ),
 }

@@ -154,6 +154,19 @@ class TestTracer:
         t = Tracer.from_events(evs)
         assert t.events == evs
 
+    def test_stream_tracer_keeps_nothing_but_feeds_subscribers(self):
+        from repro.obs.tracer import StreamTracer
+
+        t = StreamTracer()
+        seen = []
+        t.subscribe(seen.append)
+        t.phase_start(0.0, 0)
+        t.token_pass(0.1, src=0, dst=1)
+        t.incr("obs.phases_successful")
+        assert t.enabled and t.events == []
+        assert [e.kind for e in seen] == ["phase_start", "token_pass"]
+        assert t.counters == {"obs.phases_successful": 1}
+
 
 class TestNullTracer:
     def test_everything_is_a_noop(self):

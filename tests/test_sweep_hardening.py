@@ -6,7 +6,7 @@ import logging
 
 import pytest
 
-from repro.experiments.sweep import SweepExecutor, SweepPoint, point
+from repro.experiments.sweep import REASONS, SweepExecutor, SweepPoint, point
 
 TP = "repro.chaos.testpoints"
 
@@ -183,3 +183,53 @@ class TestHardenedDeterminism:
         a = SweepPoint.make(f"{TP}:ok", value=1)
         b = SweepPoint.make(f"{TP}:ok", **{"value": 1})
         assert a == b and a.digest() == b.digest()
+
+
+class TestStructuredReasons:
+    """Every set-aside is one warning whose ``record.sweep`` carries a
+    reason from ``REASONS`` -- the same record ``failures`` holds."""
+
+    def warnings(self, caplog):
+        return [r for r in caplog.records if r.name == "repro.experiments.sweep"]
+
+    def test_corrupt_cache_entries_name_file_and_problem(self, tmp_path, caplog):
+        pts = [point(f"{TP}:ok", value=i) for i in range(2)]
+        SweepExecutor(cache_dir=tmp_path).run(pts)
+        paths = [tmp_path / (pt.digest() + ".json") for pt in pts]
+        paths[0].write_text('{"fn": "truncated...')
+        paths[1].write_text("[1, 2, 3]")
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.sweep"):
+            SweepExecutor(cache_dir=tmp_path).run(pts)
+        first, second = (r.sweep for r in self.warnings(caplog))
+        assert first["reason"] == second["reason"] == "corrupt-cache"
+        assert [first["path"], second["path"]] == [str(p) for p in paths]
+        assert first["error"].startswith("not JSON (")
+        assert second["error"] == "not a JSON object"
+        for record in self.warnings(caplog):
+            assert record.getMessage().endswith("[corrupt-cache]")
+
+    @pytest.mark.parametrize(
+        "fn, reason, error",
+        [
+            ("crash", "crash", "worker died (exit code 13)"),
+            ("hang", "timeout", "timeout after 0.5s"),
+            ("fail_once", "error", "RuntimeError: transient failure"),
+        ],
+    )
+    def test_given_up_point_warns_with_its_failure_record(
+        self, tmp_path, caplog, fn, reason, error
+    ):
+        kwargs = {"marker": str(tmp_path / "failed")} if fn == "fail_once" else {}
+        pts = [point(f"{TP}:ok", value=1), point(f"{TP}:{fn}", **kwargs)]
+        ex = SweepExecutor(timeout_s=0.5)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.sweep"):
+            ex.run(pts)
+        (failure,) = ex.failures
+        assert failure["reason"] == reason and reason in REASONS
+        assert failure["error"].startswith(error)
+        (record,) = self.warnings(caplog)
+        assert record.sweep == failure
+        assert record.getMessage() == (
+            f"sweep point 1 ({TP}:{fn}) gave up after 1 attempt(s): "
+            f"{failure['error']} [{reason}]"
+        )

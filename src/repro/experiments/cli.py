@@ -193,14 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "when available, else TCP)",
     )
     net.add_argument(
-        "--batch-bytes",
-        type=int,
-        default=32768,
-        metavar="N",
-        help="cross-shard link flush threshold; links also flush at "
-        "every event-loop turn boundary",
-    )
-    net.add_argument(
         "--resend",
         type=float,
         default=None,
@@ -634,7 +626,6 @@ def net_cmd(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             ring_capacity=args.ring,
             shards=args.shards,
             shard_transport=args.shard_transport,
-            batch_bytes=args.batch_bytes,
             defense=not args.no_defense,
         )
     except ValueError as exc:

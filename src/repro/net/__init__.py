@@ -43,7 +43,6 @@ if TYPE_CHECKING:
     )
     from repro.net.shard import (
         ShardFabric,
-        ShardLink,
         ShardTransport,
         cross_edges,
         partition_nodes,
@@ -85,7 +84,7 @@ __getattr__, __dir__ = lazy_exports(
             "run_async", "run_sync",
         ),
         "shard": (
-            "ShardFabric", "ShardLink", "ShardTransport",
+            "ShardFabric", "ShardTransport",
             "cross_edges", "partition_nodes", "run_sharded",
         ),
         "trace": (
@@ -126,7 +125,6 @@ __all__ = [
     "run_sync",
     "SHARD_TRANSPORTS",
     "ShardFabric",
-    "ShardLink",
     "ShardTransport",
     "cross_edges",
     "partition_nodes",

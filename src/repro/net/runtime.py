@@ -72,11 +72,11 @@ class NetConfig:
     :func:`repro.net.shard.run_sharded` -- the node set is partitioned
     across that many worker processes, in-shard traffic stays on memory
     queues (``transport`` must be ``"mem"``), and cross-shard traffic
-    rides batched socket links (``shard_transport``: ``"auto"`` picks
-    Unix domain sockets when the platform has them, else TCP;
-    ``batch_bytes`` is the link flush threshold).  The live HTTP plane
-    and custom tracer factories are single-process features and are
-    rejected with sharding.
+    rides one :class:`~repro.net.transport.TcpTransport` link per shard
+    pair, written once per loop turn (``shard_transport``: ``"auto"``
+    picks Unix domain sockets when the platform has them, else TCP).
+    The live HTTP plane and custom tracer factories are single-process
+    features and are rejected with sharding.
     """
 
     nodes: int = 5
@@ -107,7 +107,6 @@ class NetConfig:
     tracer_factory: Any = None
     shards: int = 1
     shard_transport: str = "auto"
-    batch_bytes: int = 32768
 
     def __post_init__(self) -> None:
         if self.nodes < 2:
@@ -128,8 +127,6 @@ class NetConfig:
             raise ValueError("ring_capacity must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.batch_bytes < 1:
-            raise ValueError("batch_bytes must be >= 1")
         if self.shard_transport not in SHARD_TRANSPORTS:
             raise ValueError(
                 f"unknown shard_transport {self.shard_transport!r}; "

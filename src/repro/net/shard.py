@@ -2,21 +2,19 @@
 
 One asyncio loop runs every node's handlers, timers and queues on one
 thread, so a round's latency grows linearly with N.  Measured
-fault-free on the 2-core build box (arity 2, memory queues, default
-:class:`~repro.net.node.Timing`): 8 nodes turn a round in ~3 ms and
-send exactly the protocol's 3(n-1) frames; at 256 nodes a round takes
-~140 ms, honestly longer than the 40 ms resend timer, so senders
-re-announce frames that are merely late (10 rounds: 12 498 protocol
-frames for a 7 650-frame budget -- 2 690 resends plus the replies they
+fault-free on a 2-core x86 VM (CPython 3.11, arity 2, memory queues,
+default :class:`~repro.net.node.Timing`): 8 nodes turn a round in ~2 ms
+and send exactly the protocol's 3(n-1) frames; at 256 nodes a round
+takes ~75 ms, longer than the 40 ms resend timer, so senders
+re-announce frames that are merely late (10 rounds: 9 322 protocol
+frames for a 7 650-frame budget -- 658 resends plus the replies they
 draw).  That waste is bounded -- every sender still retires with its
-round and the run completes in 1.4 s -- but it is work one thread
-cannot shed.  :func:`run_sharded` splits the node set across
-``config.shards`` worker processes -- each running its *own* event loop
-over the existing, unchanged node classes -- so each loop carries
-N/shards nodes and the other cores do protocol work (256 nodes x 20
-rounds under ``bench_net.SCALE_TIMING``, whose 0.4 s timer neither side
-crosses: both send the 15 300-frame budget with 0 resends; 8 shards
-turn a round in ~50 ms, one loop over Unix sockets in 100-190 ms).
+round -- but it is work one thread cannot shed.  :func:`run_sharded`
+splits the node set across ``config.shards`` worker processes -- each
+running its *own* event loop over the existing, unchanged node classes
+-- so each loop carries N/shards nodes and the other cores do protocol
+work (``benchmarks/bench_net.py`` gates 256 nodes on 8 shards against
+one loop, under a resend timer neither side crosses).
 
 Topology-aware partitioning (:func:`partition_nodes`) keeps protocol
 edges inside shards: the tree protocol is cut at the shallowest heap
@@ -25,13 +23,16 @@ together and sibling roots are split only for the shards that would
 otherwise sit empty, so only O(shards) edges cross), the ring is cut into
 contiguous arcs (exactly ``shards`` cross edges).  In-shard traffic
 goes straight into the destination's inbox, as in the single-loop
-runtime's :class:`~repro.net.transport.MemTransport`; cross-shard traffic rides one
-:class:`ShardLink` per shard pair -- a Unix-domain (or TCP) socket
-carrying length-prefixed *routing records* (``(src, dst)`` header +
-frame body, :func:`~repro.net.frames.pack_record`).  Links batch: a
-record appends to a per-link buffer that flushes on a size boundary
-(``config.batch_bytes``) or at the end of the current event-loop turn,
-so a wave of hundreds of messages leaves in a handful of syscalls.
+runtime's :class:`~repro.net.transport.MemTransport`.  Cross-shard
+traffic rides the one socket link the single-loop runtime has too: each
+worker's :class:`ShardFabric` is a
+:class:`~repro.net.transport.TcpTransport` (Unix-domain or TCP) whose
+node ids are shard ids and whose frames are *routing records*
+(``(src, dst)`` header + frame body, :func:`~repro.net.frames.pack_record`).
+So a wave of hundreds of messages leaves in one write per peer shard
+per loop turn (or per 64 KiB), a peer that stops reading holds its
+senders back, and a record is delivered only if its source lives on
+the shard that the link's HELLO named.
 
 This module owns *where* nodes run -- partitioning, the cross-shard
 fabric, and process hosting: each worker is a direct child running
@@ -75,14 +76,14 @@ import time as _time
 import traceback
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Any, Mapping
+from typing import Any
 
-from repro.net.frames import FrameDecoder, append_frame, pack_record, unpack_record
+from repro.net.frames import FrameError, pack_record, unpack_record
 from repro.net.transport import (
     MemTransport,
+    TcpTransport,
     TransportClosed,
     have_af_unix,
-    open_address,
 )
 
 #: Seconds the coordinator grants workers on top of ``timeout_s`` for
@@ -173,206 +174,56 @@ def cross_edges(partition: list[int], protocol: str, arity: int = 2) -> int:
 # ----------------------------------------------------------------------
 # Worker-side fabric
 # ----------------------------------------------------------------------
-class ShardLink:
-    """One batched byte pipe to a peer shard.
+class ShardFabric(TcpTransport):
+    """One worker's switch: the hub of its nodes' ports, and its end of
+    the cross-shard wire.
 
-    ``send_record`` appends a length-prefixed routing record to the
-    link buffer; the buffer flushes when it crosses ``batch_bytes`` or
-    -- via ``loop.call_soon`` -- at the end of the current event-loop
-    turn, whichever comes first.  Many protocol messages therefore
-    share each ``write`` syscall, which is what amortizes the wire
-    cost of cutting the topology.
-    """
-
-    def __init__(self, address: str, batch_bytes: int) -> None:
-        self.address = address
-        self.batch_bytes = max(1, batch_bytes)
-        self._writer: asyncio.StreamWriter | None = None
-        self._buffer = bytearray()
-        self._flush_scheduled = False
-        self._dial_lock = asyncio.Lock()
-        self._closed = False
-        self.stats = {"records": 0, "flushes": 0, "bytes": 0}
-
-    async def _ensure_writer(self) -> asyncio.StreamWriter:
-        if self._writer is not None and not self._writer.is_closing():
-            return self._writer
-        async with self._dial_lock:
-            if self._writer is None or self._writer.is_closing():
-                _reader, self._writer = await open_address(self.address)
-            return self._writer
-
-    async def send_record(self, record: bytes) -> None:
-        if self._closed:
-            return
-        try:
-            await self._ensure_writer()
-        except (ConnectionError, OSError):
-            return  # peer shard is tearing down; resends will retry
-        append_frame(self._buffer, record)
-        self.stats["records"] += 1
-        if len(self._buffer) >= self.batch_bytes:
-            self._flush()
-            if self._writer is not None:
-                try:
-                    await self._writer.drain()  # backpressure on bursts
-                except (ConnectionError, OSError):
-                    pass
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
-            asyncio.get_running_loop().call_soon(self._turn_flush)
-
-    def _turn_flush(self) -> None:
-        self._flush_scheduled = False
-        self._flush()
-
-    def _flush(self) -> None:
-        if not self._buffer or self._writer is None or self._writer.is_closing():
-            return
-        payload = bytes(self._buffer)
-        self._buffer.clear()
-        try:
-            self._writer.write(payload)
-        except (ConnectionError, OSError):
-            return
-        self.stats["flushes"] += 1
-        self.stats["bytes"] += len(payload)
-
-    async def close(self) -> None:
-        self._closed = True
-        self._flush()
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-
-
-class ShardFabric:
-    """One worker's switch: local ports + links + the link listener.
-
-    Routing is record-addressed -- every cross-shard frame carries its
-    ``(src, dst)`` header -- so the listener needs no HELLO handshake:
-    any peer's batched stream demultiplexes straight into the local
-    nodes' inboxes.
+    As a :class:`~repro.net.transport.TcpTransport` its node id is the
+    shard id and its frames are routing records
+    (:func:`~repro.net.frames.pack_record`): a record to a peer shard
+    leaves on that shard's link with the rest of the loop turn's burst,
+    and :meth:`deliver` hands each record that arrives to the local
+    node it names.  ``nprocs`` is the run's node count, which the hub
+    of :class:`ShardTransport` ports needs; a HELLO is only trusted as
+    far as :meth:`deliver` checks.
     """
 
     def __init__(
-        self,
-        shard_id: int,
-        partition: list[int],
-        batch_bytes: int,
-        unix_path: str | None,
+        self, shard_id: int, partition: list[int], unix_path: str | None
     ) -> None:
-        self.shard_id = shard_id
+        super().__init__(shard_id, len(partition), unix_path=unix_path)
         self.partition = partition
-        #: With :attr:`ports`, the hub interface of
-        #: :class:`~repro.net.transport.MemTransport`.
-        self.nprocs = len(partition)
-        self.batch_bytes = batch_bytes
-        self.unix_path = unix_path
         self.local_pids = [
             pid for pid, shard in enumerate(partition) if shard == shard_id
         ]
         self.ports = {pid: ShardTransport(pid, self) for pid in self.local_pids}
-        self.links: dict[int, ShardLink] = {}
-        self.address: str | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._reader_tasks: set[asyncio.Task] = set()
-        self._closed = False
 
-    # -- listener ------------------------------------------------------
-    async def start(self) -> str:
-        """Bind this shard's link listener; returns its address."""
-        if self.unix_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._on_connection, self.unix_path
-            )
-            self.address = f"unix://{self.unix_path}"
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection, "127.0.0.1", 0
-            )
-            port = self._server.sockets[0].getsockname()[1]
-            self.address = f"tcp://127.0.0.1:{port}"
-        return self.address
-
-    def connect(self, addresses: Mapping[int, str]) -> None:
-        """Learn the peer shards' listener addresses (links dial lazily)."""
-        for shard, address in addresses.items():
-            if shard != self.shard_id:
-                self.links[shard] = ShardLink(address, self.batch_bytes)
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-            task.add_done_callback(self._reader_tasks.discard)
-        decoder = FrameDecoder()
-        try:
-            while not self._closed:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                for frame in decoder.feed(chunk):
-                    src, dst, body = unpack_record(frame)
-                    port = self.ports.get(dst)
-                    if port is not None:  # else: stale route, drop
-                        port.deliver(src, body)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for link in self.links.values():
-            await link.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        pending = list(self._reader_tasks)
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        if self.unix_path is not None:
-            try:
-                os.unlink(self.unix_path)
-            except OSError:
-                pass
-
-    def link_stats(self) -> dict[str, int]:
-        totals = {"xshard_records": 0, "xshard_flushes": 0, "xshard_bytes": 0}
-        for link in self.links.values():
-            totals["xshard_records"] += link.stats["records"]
-            totals["xshard_flushes"] += link.stats["flushes"]
-            totals["xshard_bytes"] += link.stats["bytes"]
-        return totals
+    def deliver(self, shard: int, record: bytes) -> None:
+        """Route a record from peer ``shard`` to its local node.  A record
+        is authentic only if its source lives on the shard the link's
+        HELLO named and its destination here; anything else raises
+        :class:`~repro.net.frames.FrameError`, which drops the link."""
+        src, dst, body = unpack_record(record)
+        port = self.ports.get(dst)
+        peer = shard != self.node_id and src < self.nprocs
+        if port is None or not peer or self.partition[src] != shard:
+            raise FrameError(f"record {src}->{dst} is not shard {shard}'s to send")
+        port.deliver(src, body)
 
 
 class ShardTransport(MemTransport):
     """One node's port on a :class:`ShardFabric`: receive, drain, close
     and in-shard sends are :class:`~repro.net.transport.MemTransport`'s
     own (the fabric is its hub); a send to another shard becomes a
-    routing record on that shard's link."""
+    routing record on the fabric's link to that shard."""
 
     async def send(self, dst: int, body: bytes) -> None:
         fabric = self._hub
-        if not 0 <= dst < self.nprocs or fabric.partition[dst] == fabric.shard_id:
+        if not 0 <= dst < self.nprocs or fabric.partition[dst] == fabric.node_id:
             return await super().send(dst, body)
         if self._closed:
             raise TransportClosed(f"node {self.node_id}: transport closed")
-        link = fabric.links.get(fabric.partition[dst])
-        if link is not None:
-            await link.send_record(pack_record(self.node_id, dst, body))
+        await fabric.send(fabric.partition[dst], pack_record(self.node_id, dst, body))
 
 
 # ----------------------------------------------------------------------
@@ -426,9 +277,7 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
     from repro.net.runtime import _run_group
 
     config = spec.config
-    fabric = ShardFabric(
-        spec.shard_id, list(spec.partition), config.batch_bytes, spec.unix_path
-    )
+    fabric = ShardFabric(spec.shard_id, list(spec.partition), spec.unix_path)
     address = await fabric.start()
     conn.send(("address", spec.shard_id, address))
     # Blocking recv is safe here: no protocol task runs yet, and peers
@@ -436,7 +285,7 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
     op, addresses, epoch = conn.recv()
     if op != "go":
         raise RuntimeError(f"unexpected coordinator message {op!r}")
-    fabric.connect(addresses)
+    fabric.set_addresses(addresses)
 
     tracers: dict[int, Any]
     if config.tracing:
@@ -471,7 +320,12 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
     finally:
         loop.remove_reader(conn.fileno())
         await fabric.close()
-    report["link_stats"] = {**fabric.link_stats(), **report["link_stats"]}
+    report["link_stats"] = {
+        "xshard_records": fabric.frames_out,
+        "xshard_flushes": fabric.writes,
+        "xshard_bytes": fabric.bytes_out,
+        **report["link_stats"],
+    }
 
     # The O(rounds) protocol log is all the coordinator needs to merge,
     # digest and monitor; the message-level rings stay here.

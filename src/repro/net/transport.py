@@ -13,6 +13,8 @@ implementations share it:
   A ``HELLO`` frame opens each connection so the receiver can attribute
   the stream to a node id.  On platforms without ``AF_UNIX`` the
   factory falls back to TCP transparently (see :func:`have_af_unix`).
+  The sharded runtime's cross-shard links are one too, with shard ids
+  for node ids (:class:`~repro.net.shard.ShardFabric`).
 
 The receive side is :class:`Transport`'s own: an inbox (a deque and one
 :class:`Signal`), ``recv(timeout)`` and a ``drain`` that models
@@ -54,16 +56,6 @@ def normalize_address(address: Address) -> str:
     if address.startswith(("tcp://", "unix://")):
         return address
     raise ValueError(f"unrecognized transport address {address!r}")
-
-
-async def open_address(address: str) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Dial a normalized address as a stream pair (what
-    :class:`~repro.net.shard.ShardLink` writes its batches to)."""
-    if address.startswith("unix://"):
-        return await asyncio.open_unix_connection(address[len("unix://"):])
-    hostport = address[len("tcp://"):]
-    host, _, port = hostport.rpartition(":")
-    return await asyncio.open_connection(host, int(port))
 
 
 class TransportClosed(ConnectionError):
@@ -290,8 +282,11 @@ class TcpTransport(Transport):
         #: A flush is scheduled for the end of this loop turn.
         self._flushing = False
         #: Hostile/garbage connections dropped on receipt (bad framing,
-        #: oversized length header, unparseable HELLO).
+        #: oversized length header, unparseable HELLO, a frame
+        #: :meth:`deliver` refuses).
         self.quarantined = 0
+        #: Frames queued on dialed links, writes made and bytes written.
+        self.frames_out = self.writes = self.bytes_out = 0
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> str:
@@ -365,6 +360,7 @@ class TcpTransport(Transport):
         if link.wire is None:
             return  # lost while this send waited: a dropped frame too
         append_frame(link.outgoing, body)
+        self.frames_out += 1
         if len(link.outgoing) >= _TURN_BYTES:
             self._flush()
         elif not self._flushing:
@@ -380,6 +376,8 @@ class TcpTransport(Transport):
                 # whatever the socket did not take at once.
                 data, link.outgoing = link.outgoing, bytearray()
                 link.wire.write(data)
+                self.writes += 1
+                self.bytes_out += len(data)
 
     async def close(self) -> None:
         """Stop listening and hang up; returns once every link is gone,

@@ -132,8 +132,8 @@ GC_IMPORTS = (
 #: a hundred, plus a hundred: room for ordinary growth, none for a module
 #: the size of the ones this budget keeps out (gc 5491, gc compiled 6195,
 #: repro.chaos.plan 640, repro.net 4526, repro.net lossy 4750,
-#: repro.net.shard 1668, repro.obs 899, repro.serve 3076, repro.serve.cli
-#: 384, shard worker 5209).
+#: repro.net.shard 1518, repro.obs 899, repro.serve 3076, repro.serve.cli
+#: 384, shard worker 5063).
 ENTRY_POINTS = {
     "repro.net": (
         "from repro.net import NetConfig, run_sync",
@@ -151,7 +151,7 @@ ENTRY_POINTS = {
         LOSSY_JOB,
         NET_BANNED + ("repro.net.shard",),
     ),
-    "repro.net.shard": ("import repro.net.shard", 185, 1800, None, NET_BANNED),
+    "repro.net.shard": ("import repro.net.shard", 185, 1700, None, NET_BANNED),
     # Everything a worker process imports, whoever launched it: the
     # bootstrap's framing class and ``repro.net.shard``, the ``NetConfig``
     # its ``ShardSpec`` unpickles to, and what ``_worker_async`` imports.
@@ -159,7 +159,7 @@ ENTRY_POINTS = {
         "from multiprocessing.connection import Connection\n"
         "import repro.net.shard, repro.net.runtime, repro.obs.recorder",
         205,
-        5400,
+        5200,
         None,
         WORKER_BANNED,
     ),

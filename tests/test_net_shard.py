@@ -14,6 +14,8 @@ The load-bearing claims, in test form:
   arbitrary re-chunking of a coalesced stream, and receiver-side dedup
   stays exactly-once when duplicates of one identity arrive via
   different shards and across incarnation bumps;
+* a shard's listener trusts a record only from the shard its source
+  lives on: anything else drops that one connection, quietly;
 * a worker boots as its own program: whatever the launcher's
   ``__main__`` is (stdin, an unguarded script, a pool worker), it is not
   run again; a dead worker is reported with who and how, and on every
@@ -22,10 +24,12 @@ The load-bearing claims, in test form:
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -42,6 +46,7 @@ from repro.net import (
     DedupIndex,
     FrameDecoder,
     NetConfig,
+    ShardFabric,
     append_frame,
     cross_edges,
     encode_canonical,
@@ -50,6 +55,8 @@ from repro.net import (
     run_sync,
     unpack_record,
 )
+from repro.net.frames import MAX_FRAME
+from repro.net.transport import _HELLO_KIND
 from tests.test_adversarial_net import ADVERSARIAL_PLAN
 
 SHARD_PLAN = FaultPlan(
@@ -158,7 +165,7 @@ def test_partition_of_the_bench_sharded_shape_is_two_halves():
 )
 @settings(max_examples=60, deadline=None)
 def test_coalesced_records_survive_any_rechunking(records, chunk):
-    """A ShardLink batch -- many routing records coalesced into one
+    """A cross-shard burst -- many routing records coalesced into one
     buffer -- decodes identically however the socket re-chunks it."""
     buffer = bytearray()
     for src, dst, body in records:
@@ -211,6 +218,66 @@ def test_encode_canonical_matches_json_dumps(obj):
     assert encode_canonical(obj) == json.dumps(
         obj, sort_keys=True, separators=(",", ":")
     )
+
+
+# ----------------------------------------------------------------------
+# The cross-shard listener trusts what it can check
+# ----------------------------------------------------------------------
+def _frames(*bodies: bytes) -> bytes:
+    buffer = bytearray()
+    for body in bodies:
+        append_frame(buffer, body)
+    return bytes(buffer)
+
+
+def _hello(shard: int) -> bytes:
+    return json.dumps({"k": _HELLO_KIND, "node": shard}).encode()
+
+
+#: What a dialer may send shard 0 of partition ``[0, 0, 1, 1]`` instead
+#: of a peer shard's records.
+HOSTILE_STREAMS = {
+    "no hello": _frames(pack_record(2, 0, b"{}")),
+    "src on the receiving shard": _frames(_hello(1), pack_record(1, 0, b"{}")),
+    "hello names the receiving shard": _frames(_hello(0), pack_record(1, 0, b"{}")),
+    "src out of range": _frames(_hello(1), pack_record(9, 0, b"{}")),
+    "dst on another shard": _frames(_hello(1), pack_record(2, 3, b"{}")),
+    "truncated routing header": _frames(_hello(1), b"abc"),
+    "oversized length header": _frames(_hello(1)) + struct.pack(">I", MAX_FRAME + 1),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(HOSTILE_STREAMS))
+def test_fabric_listener_drops_an_inauthentic_link(stream):
+    """A record is delivered only if its source lives on the shard the
+    link's HELLO named.  Anything else drops that connection -- counted
+    in ``quarantined``, with no traceback -- and a peer shard's link is
+    still heard afterwards."""
+
+    async def scenario():
+        errors: list[dict] = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        fabric = ShardFabric(0, [0, 0, 1, 1], unix_path=None)
+        host, _, port = (await fabric.start())[len("tcp://"):].rpartition(":")
+        try:
+            reader, writer = await asyncio.open_connection(host, int(port))
+            writer.write(HOSTILE_STREAMS[stream])
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""  # hung up
+            writer.close()
+            reader, writer = await asyncio.open_connection(host, int(port))
+            writer.write(_frames(_hello(1), pack_record(2, 1, b"ok")))
+            assert await fabric.ports[1].recv(timeout=5.0) == (2, b"ok")
+            writer.close()
+            return fabric, [fabric.ports[0].drain(), fabric.ports[1].drain()], errors
+        finally:
+            await fabric.close()
+
+    fabric, leftovers, errors = asyncio.run(scenario())
+    assert fabric.quarantined == 1
+    assert leftovers == [0, 0]
+    assert errors == []
 
 
 # ----------------------------------------------------------------------
@@ -285,13 +352,15 @@ def test_merged_trace_is_written_whenever_trace_dir_is_set(tmp_path, shards):
     assert result.trace_paths == [str(tmp_path / "merged.jsonl")]
 
 
-def test_clean_sharded_frame_budget_equals_single_loop():
+@pytest.mark.parametrize("shard_transport", ["unix", "tcp"])
+def test_clean_sharded_frame_budget_equals_single_loop(shard_transport):
     """Cutting the tree across processes adds no frame: 16 nodes in 2
     shards send the single-loop run's 3 per edge per round, resend
-    nothing, and narrate the same digest."""
+    nothing, and narrate the same digest -- over either link."""
     gc.collect()  # keep a gen-2 pause (> the resend timer) out of the run
     single = run_sync(_config(plan=None))
-    sharded = run_sync(_config(plan=None, shards=2))
+    sharded = run_sync(_config(plan=None, shards=2, shard_transport=shard_transport))
+    assert sharded.metrics_summary["shards"]["transport"] == shard_transport
     for result in (single, sharded):
         assert result.ok and result.reached
         stats = result.node_stats.values()
@@ -352,8 +421,6 @@ def test_sharded_config_validation():
         NetConfig(nodes=4, shards=2, obs_port=0)
     with pytest.raises(ValueError):
         NetConfig(nodes=4, shard_transport="ipc")
-    with pytest.raises(ValueError):
-        NetConfig(nodes=4, batch_bytes=0)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Any, Callable
 from repro.chaos.monitors import GuaranteeViolation, MonitorSet, monitors_for
 from repro.chaos.plan import CampaignConfig, FaultPlan
 from repro.obs.events import PROTOCOL_KINDS, ObsEvent
-from repro.obs.tracer import StreamTracer, Tracer
+from repro.obs.tracer import Tracer
 
 
 @dataclass
@@ -132,7 +132,7 @@ def _monitored(
     """Run ``body(tracer) -> (reached, end_time)`` under the plan's
     monitor battery, subscribed before the engine emits anything; short
     of ``min_successes`` successful phases, a run has not reached."""
-    tracer = StreamTracer()
+    tracer = Tracer(capacity=0)
     monitor_set = MonitorSet(tracer, monitors_for(plan, nphases))
     reached, end_time = body(tracer)
     events = monitor_set.events

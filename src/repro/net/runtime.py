@@ -46,6 +46,7 @@ from repro.net.transport import (
 from repro.net.tree import TreeBarrierNode
 from repro.net.trace import check_merged, merge_traces, trace_digest
 from repro.obs.events import FAULT, PHASE_END, ObsEvent
+from repro.obs.recorder import dump_snapshot
 from repro.obs.tracer import NullTracer, Tracer
 
 PROTOCOLS = ("tree", "mb")
@@ -58,15 +59,15 @@ class NetConfig:
     """One distributed run, fully specified.
 
     The telemetry plane: ``live=True`` (implied by ``obs_port``) swaps
-    each node's unbounded tracer for a bounded
-    :class:`~repro.obs.recorder.FlightRecorder` of ``ring_capacity``
-    events and checks the guarantee monitors *while the run executes*
-    (streaming Lamport merge; same verdicts as the post-hoc path, gated
-    by test).  ``obs_port`` additionally serves ``/metrics``, ``/health``
-    and ``/spans/recent`` from inside the loop (0 = ephemeral port,
-    localhost-only).  ``tracing=False`` runs with ``NullTracer`` (the
-    benchmark's baseline column); ``tracer_factory`` (pid -> tracer)
-    overrides node tracers outright when the plane is off.
+    each node's unbounded tracer for a flight recorder,
+    ``Tracer(capacity=ring_capacity)``, and checks the guarantee monitors
+    *while the run executes* (streaming Lamport merge; same verdicts as
+    the post-hoc path, gated by test).  ``obs_port`` additionally serves
+    ``/metrics``, ``/health`` and ``/spans/recent`` from inside the loop
+    (0 = ephemeral port, localhost-only).  ``tracing=False`` runs with
+    ``NullTracer`` (the benchmark's baseline column); ``tracer_factory``
+    (pid -> tracer) overrides node tracers outright when the plane is
+    off.
 
     Sharding: ``shards > 1`` routes the run to
     :func:`repro.net.shard.run_sharded` -- the node set is partitioned
@@ -75,8 +76,10 @@ class NetConfig:
     rides one :class:`~repro.net.transport.TcpTransport` link per shard
     pair, written once per loop turn (``shard_transport``: ``"auto"``
     picks Unix domain sockets when the platform has them, else TCP).
-    The live HTTP plane and custom tracer factories are single-process
-    features and are rejected with sharding.
+    Workers trace into rings (``ring_capacity`` when live) and ship
+    the protocol events.  The live HTTP plane and custom tracer
+    factories are single-process features and are rejected with
+    sharding.
     """
 
     nodes: int = 5
@@ -399,22 +402,22 @@ async def _run_group(
     for wrapper in faulty:
         link_stats.update(wrapper.stats)
 
-    # Per-node trace files: a ring recorder writes its snapshot segment
-    # (header + surviving window), a plain tracer its full event list,
-    # a tracer that keeps nothing writes nothing.
+    # Per-node trace files: a tracer that keeps every event writes them
+    # all, a ring its snapshot segment (header + surviving window), a
+    # disabled tracer nothing.
     trace_paths: list[str] = []
     if config.trace_dir is not None:
         out = Path(config.trace_dir)
         out.mkdir(parents=True, exist_ok=True)
         for pid, tracer in tracers.items():
-            if hasattr(tracer, "dump_snapshot"):
-                path = out / f"flight-{pid}.snapshot.jsonl"
-                tracer.dump_snapshot(path)
-            elif hasattr(tracer, "dump_jsonl"):
+            if not tracer.enabled:
+                continue
+            if tracer.capacity is None:
                 path = out / f"trace-{pid}.jsonl"
                 tracer.dump_jsonl(path)
             else:
-                continue
+                path = out / f"flight-{pid}.snapshot.jsonl"
+                dump_snapshot(tracer, pid, path)
             trace_paths.append(str(path))
 
     return {
@@ -455,10 +458,10 @@ def _assemble(
     The one place progress, the merged trace, the replay digest, the
     guarantee verdicts, ``merged.jsonl`` and the :class:`NetResult` are
     computed -- for one group or many.  ``streams`` maps each pid to its
-    events in emission order.  When the live ``plane`` ran it has
-    already merged, monitored and digested while the nodes executed, and
-    the per-node rings may be truncated, so everything derives from the
-    plane's (complete) merged view and ``streams`` goes unread.
+    events in emission order (:func:`_streams`); the digest is always
+    theirs.  When the live ``plane`` ran it has already merged and
+    monitored while the nodes executed, so the merged trace and the
+    verdicts are the plane's (complete) view.
     """
     rounds: dict[int, int] = {}
     node_stats: dict[int, dict[str, int]] = {}
@@ -481,12 +484,11 @@ def _assemble(
     if plane is not None:
         plane.finish(reached)
         merged = list(plane.merged or [])
-        digest = plane.digest()
         violations, spans = list(plane.violations), list(plane.spans)
     else:
         merged = merge_traces(streams)
-        digest = trace_digest(streams)
         violations, spans = check_merged(merged, check_plan, nphases, reached)
+    digest = trace_digest(streams)
 
     if config.trace_dir is not None:
         # Every group's ``_run_group`` has already created the directory.
@@ -522,6 +524,39 @@ def _assemble(
     )
 
 
+#: A shard worker's ring when the plane is off (it ships only protocol events).
+SHARD_RING = 65536
+
+
+def _tracers(
+    config: NetConfig, pids: Sequence[int], plane: Any = None
+) -> dict[int, Any]:
+    """Each node's tracer, for one loop and a shard worker alike: the live
+    ``plane``'s ring, the ``tracer_factory``'s, a ``NullTracer`` when
+    tracing is off, else one that keeps every event -- or, in a shard
+    worker, a ring of ``ring_capacity`` when live, else
+    :data:`SHARD_RING`."""
+    if plane is not None:
+        return {pid: plane.tracer_for(pid) for pid in pids}
+    if config.tracer_factory is not None:
+        return {pid: config.tracer_factory(pid) for pid in pids}
+    if not config.tracing:
+        return {pid: NullTracer() for pid in pids}
+    capacity = None
+    if config.shards > 1:
+        capacity = config.ring_capacity if config.live_mode else SHARD_RING
+    return {pid: Tracer(capacity) for pid in pids}
+
+
+def _streams(tracers: Mapping[int, Any]) -> dict[int, Sequence[ObsEvent]]:
+    """Each node's stream for the merge and the digest: every event its
+    tracer kept, or -- past a ring -- its protocol events."""
+    return {
+        pid: tracer.protocol_events if tracer.capacity else tracer.events
+        for pid, tracer in tracers.items()
+    }
+
+
 async def run_async(config: NetConfig) -> NetResult:
     if config.shards > 1:
         from repro.net.shard import run_sharded
@@ -549,7 +584,6 @@ async def run_async(config: NetConfig) -> NetResult:
 
         # -- telemetry plane -------------------------------------------
         plane = None
-        tracers: dict[int, Any]
         if config.live_mode:
             from repro.obs.live import LivePlane
 
@@ -560,19 +594,13 @@ async def run_async(config: NetConfig) -> NetResult:
                 nphases=nphases,
                 ring_capacity=config.ring_capacity,
             )
-            tracers = {pid: plane.tracer_for(pid) for pid in pids}
             if config.obs_port is not None:
                 from repro.obs.http import ObsHttpServer
 
                 server = await ObsHttpServer(plane, port=config.obs_port).start()
                 if config.obs_announce is not None:
                     config.obs_announce(server.url)
-        elif config.tracer_factory is not None:
-            tracers = {pid: config.tracer_factory(pid) for pid in pids}
-        elif not config.tracing:
-            tracers = {pid: NullTracer() for pid in pids}
-        else:
-            tracers = {pid: Tracer() for pid in pids}
+        tracers = _tracers(config, pids, plane)
 
         report = await _run_group(
             config,
@@ -581,13 +609,10 @@ async def run_async(config: NetConfig) -> NetResult:
             tracers,
             on_done=plane.mark_done if plane is not None else None,
         )
-        streams = (
-            {} if plane is not None else {pid: tracers[pid].events for pid in pids}
-        )
         return _assemble(
             config,
             [report],
-            streams,
+            _streams(tracers),
             plane,
             obs_url=server.url if server is not None else None,
         )

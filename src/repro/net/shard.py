@@ -51,10 +51,10 @@ guarantee survives sharding:
   the same drops/dups/delays no matter which loop the sender runs in.
   Two sharded runs with one seed, and a sharded vs a single-loop run,
   produce identical trace digests (gated by test and CI).
-* **Telemetry** -- each worker runs a
-  :class:`~repro.obs.recorder.FlightRecorder` per node with
-  ``protocol_log=True`` and ships the O(rounds) protocol events back
-  over its control channel; merge, digest and the PR-4 guarantee monitors
+* **Telemetry** -- each worker traces every node into a flight
+  recorder (a ``Tracer`` ring; the runtime's ``_tracers`` picks it) and
+  ships the O(rounds) protocol events the ring keeps whole back over
+  its control channel; merge, digest and the PR-4 guarantee monitors
   then run on them as on any other streams (event times are Lamport
   stamps, so cross-process merge order is exact, not
   wall-clock-approximate).
@@ -274,7 +274,7 @@ def _worker_main(spec: ShardSpec, conn: Any) -> None:
 
 
 async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
-    from repro.net.runtime import _run_group
+    from repro.net.runtime import _run_group, _streams, _tracers
 
     config = spec.config
     fabric = ShardFabric(spec.shard_id, list(spec.partition), spec.unix_path)
@@ -287,19 +287,7 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
         raise RuntimeError(f"unexpected coordinator message {op!r}")
     fabric.set_addresses(addresses)
 
-    tracers: dict[int, Any]
-    if config.tracing:
-        from repro.obs.recorder import FlightRecorder
-
-        capacity = config.ring_capacity if config.live_mode else 65536
-        tracers = {
-            pid: FlightRecorder(capacity=capacity, pid=pid, protocol_log=True)
-            for pid in fabric.local_pids
-        }
-    else:
-        from repro.obs.tracer import NullTracer
-
-        tracers = {pid: NullTracer() for pid in fabric.local_pids}
+    tracers = _tracers(config, fabric.local_pids)
 
     # "go" was the coordinator's last word, so the channel turning
     # readable now is its end closing: stop instead of running on with
@@ -327,15 +315,14 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
         **report["link_stats"],
     }
 
-    # The O(rounds) protocol log is all the coordinator needs to merge,
-    # digest and monitor; the message-level rings stay here.
-    events: dict[int, list] = {}
-    rings: dict[str, dict[str, int]] = {}
-    if config.tracing:
-        for pid, tracer in tracers.items():
-            events[pid] = tracer.protocol_events
-            rings[str(pid)] = {"appended": tracer.appended, "dropped": tracer.dropped}
-    return {"report": report, "events": events, "rings": rings}
+    # The O(rounds) protocol events are all the coordinator needs to
+    # merge, digest and monitor; the message-level rings stay here.
+    rings = {
+        str(pid): {"appended": tracer.appended, "dropped": tracer.dropped}
+        for pid, tracer in tracers.items()
+        if tracer.enabled
+    }
+    return {"report": report, "events": _streams(tracers), "rings": rings}
 
 
 # ----------------------------------------------------------------------

@@ -61,8 +61,8 @@ if TYPE_CHECKING:
     from repro.obs.observer import BarrierPhaseObserver
     from repro.obs.recorder import (
         SNAPSHOT_KIND,
-        FlightRecorder,
         digest_of_rows,
+        dump_snapshot,
         projection_row,
         read_snapshot,
     )
@@ -94,7 +94,7 @@ __getattr__, __dir__ = lazy_exports(
         "tracer": ("NULL_TRACER", "NullTracer", "ObsError", "Tracer", "ensure_tracer"),
         "observer": ("BarrierPhaseObserver",),
         "recorder": (
-            "SNAPSHOT_KIND", "FlightRecorder", "digest_of_rows", "projection_row",
+            "SNAPSHOT_KIND", "digest_of_rows", "dump_snapshot", "projection_row",
             "read_snapshot",
         ),
         "spans": ("Span", "SpanFolder"),
@@ -143,9 +143,9 @@ __all__ = [
     "build_chains",
     "causal_report",
     # live telemetry plane
-    "FlightRecorder",
     "PROTOCOL_KINDS",
     "SNAPSHOT_KIND",
+    "dump_snapshot",
     "projection_row",
     "digest_of_rows",
     "read_snapshot",

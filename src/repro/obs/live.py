@@ -10,13 +10,14 @@ does the same work *while the nodes run*, with bounded per-node memory:
   as every stream's watermark has passed its time; released events come
   out in exactly :func:`repro.net.trace.merge_traces` order
   (``(time, pid, per-stream index, stream pid)``), proven equal by test.
-* :class:`LivePlane` -- wires per-node
-  :class:`~repro.obs.recorder.FlightRecorder` rings into one merger and
-  fans the merged stream out to the PR-4 :class:`MonitorSet` (fed
-  directly, no tracer), the :class:`~repro.obs.spans.SpanFolder`, and a
-  :class:`~repro.obs.tracefold.MetricsObserver` -- so violations surface
-  mid-run with the span that was open when they fired, and ``/metrics``
-  can be scraped while barriers are still completing.
+* :class:`LivePlane` -- wires per-node flight recorders (each a
+  :class:`~repro.obs.tracer.Tracer` ring of ``ring_capacity`` events)
+  into one merger and fans the merged stream out to the PR-4
+  :class:`MonitorSet` (fed directly, no tracer), the
+  :class:`~repro.obs.spans.SpanFolder`, and a
+  :class:`~repro.obs.tracefold.MetricsObserver` -- so violations
+  surface mid-run with the span that was open when they fired, and
+  ``/metrics`` can be scraped while barriers are still completing.
 
 The post-hoc path (:func:`repro.net.trace.check_merged`) remains the
 oracle: :func:`run_monitors_streaming` replays recorded streams through
@@ -37,8 +38,8 @@ from repro.obs.events import (
     ObsEvent,
 )
 from repro.obs.tracefold import MetricsObserver
-from repro.obs.recorder import FlightRecorder, digest_of_rows
 from repro.obs.spans import SpanFolder
+from repro.obs.tracer import Tracer
 
 
 def monitor_filter(event: ObsEvent) -> bool:
@@ -140,10 +141,10 @@ class LivePlane:
     * a metrics observer over the full merged stream (optional).
 
     ``finish(reached)`` closes the merger, lets monitors and folder
-    report end-of-stream obligations, and finalizes metrics.  The
-    digest is accumulated per-recorder (O(rounds) projection rows), so
-    it matches :func:`repro.net.trace.trace_digest` over the *full*
-    streams even when the rings have overflowed.
+    report end-of-stream obligations, and finalizes metrics.  Each
+    recorder keeps its protocol events past the ring, so
+    :func:`repro.net.trace.trace_digest` over them equals the digest of
+    the *full* streams even when the rings have overflowed.
     """
 
     def __init__(
@@ -163,9 +164,8 @@ class LivePlane:
 
         check_plan = plan if plan is not None else FaultPlan(nprocs=nodes)
         self.nodes = nodes
-        self.recorders: dict[int, FlightRecorder] = {
-            pid: FlightRecorder(capacity=ring_capacity, pid=pid)
-            for pid in range(nodes)
+        self.recorders: dict[int, Tracer] = {
+            pid: Tracer(ring_capacity) for pid in range(nodes)
         }
         self.merger = StreamingMerger(range(nodes), self._on_merged)
         self.monitor_set = MonitorSet(
@@ -187,7 +187,7 @@ class LivePlane:
             recorder.subscribe(self._listener(pid))
 
     # -- node-facing API -----------------------------------------------
-    def tracer_for(self, pid: int) -> FlightRecorder:
+    def tracer_for(self, pid: int) -> Tracer:
         return self.recorders[pid]
 
     def _listener(self, stream_pid: int) -> Callable[[ObsEvent], None]:
@@ -262,15 +262,12 @@ class LivePlane:
     def spans(self) -> list[float]:
         return self.monitor_set.spans
 
-    def digest(self) -> str:
-        return digest_of_rows({p: r.rows for p, r in self.recorders.items()})
-
     def ring_stats(self) -> dict[int, dict[str, int]]:
         return {
             pid: {
                 "appended": rec.appended,
                 "dropped": rec.dropped,
-                "retained": len(rec.events),
+                "retained": rec.appended - rec.dropped,
                 "capacity": rec.capacity,
             }
             for pid, rec in sorted(self.recorders.items())

@@ -14,6 +14,7 @@ are measured without wall-clock noise.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Iterable
 
 from repro.obs.events import (
@@ -23,6 +24,7 @@ from repro.obs.events import (
     MSG_SEND,
     PHASE_END,
     PHASE_START,
+    PROTOCOL_KINDS,
     QUARANTINE,
     RECOVERY,
     TOKEN_PASS,
@@ -42,6 +44,7 @@ class NullTracer:
     """
 
     enabled = False
+    capacity: int | None = 0  # keeps nothing
 
     # -- events --------------------------------------------------------
     def emit(self, kind: str, time: float, pid: int | None = None, **data: Any) -> None:
@@ -146,12 +149,28 @@ def ensure_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer"
 
 
 class Tracer(NullTracer):
-    """The recording tracer: appends typed events in emission order."""
+    """The recording tracer; ``capacity`` is what it keeps.
+
+    ``None``: every event, in emission order.  ``0``: none -- counters,
+    timers and subscribers only, for a run whose consumers keep what
+    they read (a chaos run's ``MonitorSet``).  ``N > 0``: a flight
+    recorder -- the last N events in a ring, drops accounted, and every
+    protocol event (O(rounds)) in :attr:`protocol_events`, so the replay
+    digest and the Lamport merge survive ring overflow.
+    """
 
     enabled = True
 
-    def __init__(self) -> None:
-        self._events: list[ObsEvent] = []
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 0:
+            raise ValueError("tracer capacity must be None or >= 0")
+        self.capacity = capacity
+        self._events: list[ObsEvent] | deque[ObsEvent] = (
+            [] if capacity is None else deque(maxlen=capacity)
+        )
+        #: Every protocol event, kept past the ring (``capacity > 0``).
+        self.protocol_events: list[ObsEvent] = []
+        self.appended = 0  # events ever emitted
         self._counters: dict[str, int | float] = {}
         #: name -> (accumulated elapsed, stop count)
         self._timers: dict[str, tuple[float, int]] = {}
@@ -161,17 +180,16 @@ class Tracer(NullTracer):
 
     # -- events --------------------------------------------------------
     def emit(self, kind: str, time: float, pid: int | None = None, **data: Any) -> None:
-        """Record one event (``kind`` must be a known event kind)."""
+        """Record one event (``kind`` must be a known event kind); the
+        subscribers are called after it is stored."""
         event = ObsEvent(kind, time, pid, data)
-        self._keep(event)
+        self.appended += 1
+        self._events.append(event)
+        if self.capacity and kind in PROTOCOL_KINDS:
+            self.protocol_events.append(event)
         if self._listeners:
             for listener in self._listeners:
                 listener(event)
-
-    def _keep(self, event: ObsEvent) -> None:
-        """Store one emitted event (the retention policy; listeners are
-        notified after it returns)."""
-        self._events.append(event)
 
     def phase_start(
         self, time: float, phase: int, pid: int | None = 0, **data: Any
@@ -270,7 +288,14 @@ class Tracer(NullTracer):
     # -- views ---------------------------------------------------------
     @property
     def events(self) -> list[ObsEvent]:
-        return self._events
+        """Every event, or a ring's surviving window (oldest first)."""
+        events = self._events
+        return events if isinstance(events, list) else list(events)
+
+    @property
+    def dropped(self) -> int:
+        """Events emitted but no longer kept (``appended - retained``)."""
+        return self.appended - len(self._events)
 
     @property
     def counters(self) -> dict[str, int | float]:
@@ -301,12 +326,5 @@ class Tracer(NullTracer):
         """A tracer pre-loaded with ``events`` (e.g. read back from JSONL)."""
         tracer = cls()
         tracer._events.extend(events)
+        tracer.appended = len(tracer._events)
         return tracer
-
-
-class StreamTracer(Tracer):
-    """A tracer that keeps no events -- counters, timers and subscribers
-    only -- for a run whose consumers keep what they read (a MonitorSet)."""
-
-    def _keep(self, event: ObsEvent) -> None:
-        pass

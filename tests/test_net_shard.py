@@ -47,6 +47,7 @@ from repro.net import (
     FrameDecoder,
     NetConfig,
     ShardFabric,
+    Timing,
     append_frame,
     cross_edges,
     encode_canonical,
@@ -356,10 +357,16 @@ def test_merged_trace_is_written_whenever_trace_dir_is_set(tmp_path, shards):
 def test_clean_sharded_frame_budget_equals_single_loop(shard_transport):
     """Cutting the tree across processes adds no frame: 16 nodes in 2
     shards send the single-loop run's 3 per edge per round, resend
-    nothing, and narrate the same digest -- over either link."""
-    gc.collect()  # keep a gen-2 pause (> the resend timer) out of the run
-    single = run_sync(_config(plan=None))
-    sharded = run_sync(_config(plan=None, shards=2, shard_transport=shard_transport))
+    nothing, and narrate the same digest -- over either link.  The
+    resend timer is a second, so a round that is merely slow (a loaded
+    runner, a gen-2 collection) is not taken for a lost frame: in a
+    clean run a longer resend only stops timer-driven resends."""
+    gc.collect()
+    slow = Timing(resend=1.0, resend_max=1.0)
+    single = run_sync(_config(plan=None, timing=slow))
+    sharded = run_sync(
+        _config(plan=None, timing=slow, shards=2, shard_transport=shard_transport)
+    )
     assert sharded.metrics_summary["shards"]["transport"] == shard_transport
     for result in (single, sharded):
         assert result.ok and result.reached
@@ -367,6 +374,21 @@ def test_clean_sharded_frame_budget_equals_single_loop(shard_transport):
         assert sum(s["resends"] for s in stats) == 0
         assert sum(s["sent"] - s["hb_sent"] for s in stats) == 3 * 15 * 6
     assert single.digest == sharded.digest
+
+
+def test_sharded_live_run_rings_overflow_and_keep_the_digest():
+    """``live=True`` with shards: every worker traces into rings of
+    ``ring_capacity``, which overflow, and ships the protocol events they
+    keep whole -- so the digest is the single-loop run's."""
+    single = run_sync(NetConfig(nodes=8, barriers=4))
+    live = run_sync(
+        NetConfig(nodes=8, barriers=4, shards=2, live=True, ring_capacity=16)
+    )
+    assert single.ok and live.ok
+    assert live.digest == single.digest
+    rings = live.metrics_summary["rings"]
+    assert sorted(rings, key=int) == [str(pid) for pid in range(8)]
+    assert any(ring["dropped"] > 0 for ring in rings.values())
 
 
 def test_mb_sharded_with_crash():

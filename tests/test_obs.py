@@ -154,16 +154,15 @@ class TestTracer:
         t = Tracer.from_events(evs)
         assert t.events == evs
 
-    def test_stream_tracer_keeps_nothing_but_feeds_subscribers(self):
-        from repro.obs.tracer import StreamTracer
-
-        t = StreamTracer()
+    def test_capacity_zero_keeps_nothing_but_feeds_subscribers(self):
+        t = Tracer(capacity=0)
         seen = []
         t.subscribe(seen.append)
         t.phase_start(0.0, 0)
         t.token_pass(0.1, src=0, dst=1)
         t.incr("obs.phases_successful")
-        assert t.enabled and t.events == []
+        assert t.enabled and t.events == [] and t.protocol_events == []
+        assert (t.appended, t.dropped) == (2, 2)
         assert [e.kind for e in seen] == ["phase_start", "token_pass"]
         assert t.counters == {"obs.phases_successful": 1}
 

@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from repro.obs import FlightRecorder, Tracer
+from repro.obs import Tracer
 from repro.obs.events import EVENT_KINDS, PHASE_END, TOKEN_PASS, ObsEvent
 from repro.obs.jsonl import read_jsonl, write_jsonl
 
@@ -42,7 +42,9 @@ def test_payloadless_event_fits_in_112_bytes():
     assert (after - before) / n <= 112
 
 
-@pytest.mark.parametrize("make", [Tracer, FlightRecorder])
+@pytest.mark.parametrize(
+    "make", [Tracer, lambda: Tracer(capacity=4096)], ids=["Tracer", "ring"]
+)
 def test_row_is_slotted_frozen_and_shares_its_empty_payload(make):
     tracer = make()
     tracer.token_pass(1.0, 2)

@@ -16,7 +16,7 @@ from repro.net import NetConfig, Timing, check_merged, merge_traces, run_sync, t
 from repro.net.runtime import run_async
 from repro.obs import Tracer, parse_prometheus_text
 from repro.obs.live import LivePlane, StreamingMerger, run_monitors_streaming
-from repro.obs.recorder import FlightRecorder, read_snapshot
+from repro.obs.recorder import dump_snapshot, read_snapshot
 
 PLAN = FaultPlan(
     nprocs=5,
@@ -30,7 +30,7 @@ PLAN = FaultPlan(
 # Flight recorder
 # ----------------------------------------------------------------------
 def test_ring_bounds_and_accounting():
-    rec = FlightRecorder(capacity=8, pid=0)
+    rec = Tracer(capacity=8)
     for i in range(30):
         rec.token_pass(float(i + 1), src=0, dst=1)
     assert len(rec.events) == 8
@@ -40,27 +40,25 @@ def test_ring_bounds_and_accounting():
 
 
 def test_digest_survives_ring_overflow():
-    """The digest projection accumulates outside the ring, so the replay
-    digest is identical to an unbounded tracer's."""
+    """Protocol events are kept outside the ring, so the replay digest
+    is identical to an unbounded tracer's."""
     full = Tracer()
-    rec = FlightRecorder(capacity=4, pid=0)
+    rec = Tracer(capacity=4)
     for r in range(25):
         for t in (full, rec):
             t.phase_start(float(3 * r + 1), r)
             t.token_pass(float(3 * r + 2), src=0, dst=1)
             t.phase_end(float(3 * r + 3), r, r % 5 != 0)
     assert rec.dropped > 0
-    from repro.obs.recorder import digest_of_rows
-
-    assert digest_of_rows({0: rec.rows}) == trace_digest({0: full.events})
+    assert trace_digest({0: rec.protocol_events}) == trace_digest({0: full.events})
 
 
 def test_snapshot_round_trip(tmp_path):
-    rec = FlightRecorder(capacity=4, pid=3)
+    rec = Tracer(capacity=4)
     for i in range(10):
         rec.token_pass(float(i + 1), src=3, dst=0)
     path = tmp_path / "flight.jsonl"
-    assert rec.dump_snapshot(path) == 4
+    assert dump_snapshot(rec, 3, path) == 4
     header, events = read_snapshot(path)
     assert header["pid"] == 3
     assert header["appended"] == 10

@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 from repro.chaos.monitors import GuaranteeViolation, MonitorSet, monitors_for
 from repro.chaos.plan import CampaignConfig, FaultPlan
-from repro.obs.events import PROTOCOL_KINDS, ObsEvent
+from repro.obs.events import ObsEvent
 from repro.obs.tracer import Tracer
 
 
@@ -500,7 +500,7 @@ def _run_net(adapter: Adapter, plan: FaultPlan, cfg: CampaignConfig) -> RunOutco
         successful_phases=result.successful_phases,
         violations=list(result.violations),
         spans=list(result.spans),
-        events=tuple(e for e in result.merged_events if e.kind in PROTOCOL_KINDS),
+        events=tuple(result.merged_events),
     )
 
 

@@ -463,13 +463,21 @@ class MonitorSet:
     One subscription feeds a shared buffer of the
     :data:`~repro.obs.events.PROTOCOL_KINDS` events (so every
     violation's trace prefix is captured once) and fans them out to
-    each monitor; other kinds are dropped on arrival.
+    each monitor; other kinds are dropped on arrival.  A bounded tracer
+    (``capacity`` not None) already keeps exactly that list, storing
+    each event before it calls its listeners, so its
+    ``protocol_events`` *is* the buffer rather than a second copy.
     """
 
     def __init__(self, tracer: Any | None, monitors: list[Monitor]) -> None:
         self.tracer = tracer
         self.monitors = list(monitors)
-        self._events: list[ObsEvent] = []
+        self._shared = (
+            tracer is not None and tracer.enabled and tracer.capacity is not None
+        )
+        self._events: list[ObsEvent] = (
+            tracer.protocol_events if self._shared else []
+        )
         for m in self.monitors:
             m._buffer = self._events
         if tracer is not None:
@@ -478,7 +486,8 @@ class MonitorSet:
     def _on_event(self, event: ObsEvent) -> None:
         if event.kind not in PROTOCOL_KINDS:
             return
-        self._events.append(event)
+        if not self._shared:
+            self._events.append(event)
         for m in self.monitors:
             m.on_event(event)
 

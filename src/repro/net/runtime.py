@@ -58,8 +58,12 @@ SHARD_TRANSPORTS = ("auto", "unix", "tcp")
 class NetConfig:
     """One distributed run, fully specified.
 
-    The telemetry plane: ``live=True`` (implied by ``obs_port``) swaps
-    each node's unbounded tracer for a flight recorder,
+    What a run keeps: its protocol events (``Tracer(0)``), the O(rounds)
+    stream the digest, the monitors and :class:`NetResult` read; message
+    chatter only when ``trace_dir`` will write it, or in the live rings.
+
+    The telemetry plane: ``live=True`` (implied by ``obs_port``) gives
+    each node a flight recorder,
     ``Tracer(capacity=ring_capacity)``, and checks the guarantee monitors
     *while the run executes* (streaming Lamport merge; same verdicts as
     the post-hoc path, gated by test).  ``obs_port`` additionally serves
@@ -76,8 +80,9 @@ class NetConfig:
     rides one :class:`~repro.net.transport.TcpTransport` link per shard
     pair, written once per loop turn (``shard_transport``: ``"auto"``
     picks Unix domain sockets when the platform has them, else TCP).
-    Workers trace into rings (``ring_capacity`` when live) and ship
-    the protocol events.  The live HTTP plane and custom tracer
+    Workers keep protocol events (and a ``ring_capacity`` ring when
+    live, a flight snapshot's ring under ``trace_dir``) and ship the
+    protocol events.  The live HTTP plane and custom tracer
     factories are single-process features and are rejected with
     sharding.
     """
@@ -165,6 +170,7 @@ class NetResult:
     successful_phases: int
     faults_fired: int
     digest: str
+    #: Lamport time of the last merged event.
     end_time: float
     #: Protocol wall: the slowest group's gather-to-close seconds.
     #: Fabric setup, worker spawn and post-run merge are outside it (a
@@ -179,6 +185,8 @@ class NetResult:
     spans: list[float] = field(default_factory=list)
     node_stats: dict[int, dict[str, int]] = field(default_factory=dict)
     link_stats: dict[str, int] = field(default_factory=dict)
+    #: The Lamport-merged protocol events; every event (message
+    #: chatter included) only when ``trace_dir`` wrote them.
     merged_events: list[ObsEvent] = field(default_factory=list)
     trace_paths: list[str] = field(default_factory=list)
     #: Digest + per-guarantee verdicts (+ plane accounting when live) --
@@ -461,7 +469,8 @@ def _assemble(
     events in emission order (:func:`_streams`); the digest is always
     theirs.  When the live ``plane`` ran it has already merged and
     monitored while the nodes executed, so the merged trace and the
-    verdicts are the plane's (complete) view.
+    verdicts are the plane's (complete) view.  Either way the merged
+    trace is the protocol events unless ``trace_dir`` kept every event.
     """
     rounds: dict[int, int] = {}
     node_stats: dict[int, dict[str, int]] = {}
@@ -483,7 +492,7 @@ def _assemble(
     check_plan, nphases = _monitor_args(config)
     if plane is not None:
         plane.finish(reached)
-        merged = list(plane.merged or [])
+        merged = list(plane.merged)
         violations, spans = list(plane.violations), list(plane.spans)
     else:
         merged = merge_traces(streams)
@@ -524,35 +533,42 @@ def _assemble(
     )
 
 
-#: A shard worker's ring when the plane is off (it ships only protocol events).
+#: The ring a shard worker writes as its flight snapshot under ``trace_dir``
+#: when the plane is off.
 SHARD_RING = 65536
 
 
 def _tracers(
     config: NetConfig, pids: Sequence[int], plane: Any = None
 ) -> dict[int, Any]:
-    """Each node's tracer, for one loop and a shard worker alike: the live
-    ``plane``'s ring, the ``tracer_factory``'s, a ``NullTracer`` when
-    tracing is off, else one that keeps every event -- or, in a shard
-    worker, a ring of ``ring_capacity`` when live, else
-    :data:`SHARD_RING`."""
+    """Each node's tracer, for one loop and a shard worker alike.
+
+    Message chatter is kept only where something reads it: the live
+    ``plane``'s rings (a shard worker's ring of ``ring_capacity`` when
+    live), every event for a single-loop ``trace_dir`` run's
+    ``trace-<pid>.jsonl``, a :data:`SHARD_RING` ring for a sharded one's
+    flight snapshot.  Every other run keeps its protocol events only
+    (``Tracer(0)``); a ``tracer_factory`` decides for itself, and
+    ``tracing=False`` is a ``NullTracer``."""
     if plane is not None:
         return {pid: plane.tracer_for(pid) for pid in pids}
     if config.tracer_factory is not None:
         return {pid: config.tracer_factory(pid) for pid in pids}
     if not config.tracing:
         return {pid: NullTracer() for pid in pids}
-    capacity = None
-    if config.shards > 1:
-        capacity = config.ring_capacity if config.live_mode else SHARD_RING
+    capacity: int | None = 0
+    if config.shards > 1 and config.live_mode:
+        capacity = config.ring_capacity
+    elif config.trace_dir is not None:
+        capacity = None if config.shards == 1 else SHARD_RING
     return {pid: Tracer(capacity) for pid in pids}
 
 
 def _streams(tracers: Mapping[int, Any]) -> dict[int, Sequence[ObsEvent]]:
-    """Each node's stream for the merge and the digest: every event its
-    tracer kept, or -- past a ring -- its protocol events."""
+    """Each node's stream for the merge and the digest: every event an
+    unbounded tracer kept, else its protocol events."""
     return {
-        pid: tracer.protocol_events if tracer.capacity else tracer.events
+        pid: tracer.events if tracer.capacity is None else tracer.protocol_events
         for pid, tracer in tracers.items()
     }
 
@@ -593,6 +609,7 @@ async def run_async(config: NetConfig) -> NetResult:
                 plan=check_plan,
                 nphases=nphases,
                 ring_capacity=config.ring_capacity,
+                keep_messages=config.trace_dir is not None,
             )
             if config.obs_port is not None:
                 from repro.obs.http import ObsHttpServer

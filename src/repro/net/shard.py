@@ -316,9 +316,9 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
     }
 
     # The O(rounds) protocol events are all the coordinator needs to
-    # merge, digest and monitor; the message-level rings stay here.
+    # merge, digest and monitor; a ring (live, or for a snapshot) stays here.
     rings = {
-        str(pid): {"appended": tracer.appended, "dropped": tracer.dropped}
+        str(pid): tracer.ring_stats()
         for pid, tracer in tracers.items()
         if tracer.enabled
     }

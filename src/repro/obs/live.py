@@ -34,6 +34,7 @@ from repro.obs.events import (
     FAULT,
     PHASE_END,
     PHASE_START,
+    PROTOCOL_KINDS,
     RECOVERY,
     ObsEvent,
 )
@@ -138,7 +139,10 @@ class LivePlane:
       moment they fire;
     * the span folder (phase narration from node 0, everything else
       from everyone);
-    * a metrics observer over the full merged stream (optional).
+    * a metrics observer over the full merged stream (optional);
+    * :attr:`merged`, the merged protocol events (O(rounds), what
+      :class:`~repro.net.runtime.NetResult` reports), or every merged
+      event with ``keep_messages`` (a run that writes ``merged.jsonl``).
 
     ``finish(reached)`` closes the merger, lets monitors and folder
     report end-of-stream obligations, and finalizes metrics.  Each
@@ -155,7 +159,7 @@ class LivePlane:
         ring_capacity: int = 4096,
         recent_spans: int = 256,
         metrics: bool = True,
-        keep_merged: bool = True,
+        keep_messages: bool = False,
         span_sink: Callable[..., None] | None = None,
         violation_sink: Callable[..., None] | None = None,
     ) -> None:
@@ -176,7 +180,10 @@ class LivePlane:
             MetricsObserver() if metrics else None
         )
         self.violation_sink = violation_sink
-        self.merged: list[ObsEvent] | None = [] if keep_merged else None
+        #: The merged protocol events -- every merged event with
+        #: ``keep_messages`` (a ``trace_dir`` run writes them all).
+        self.merged: list[ObsEvent] = []
+        self.keep_messages = keep_messages
         #: ``(violation, span-context dict | None)`` in firing order.
         self.live_violations: list[tuple[Any, dict[str, Any] | None]] = []
         self._per_monitor_seen = [0] * len(self.monitor_set.monitors)
@@ -203,7 +210,7 @@ class LivePlane:
     # -- merged-stream fan-out -----------------------------------------
     def _on_merged(self, event: ObsEvent) -> None:
         self._last_time = event.time
-        if self.merged is not None:
+        if self.keep_messages or event.kind in PROTOCOL_KINDS:
             self.merged.append(event)
         if self.observer is not None:
             self.observer(event)
@@ -262,16 +269,8 @@ class LivePlane:
     def spans(self) -> list[float]:
         return self.monitor_set.spans
 
-    def ring_stats(self) -> dict[int, dict[str, int]]:
-        return {
-            pid: {
-                "appended": rec.appended,
-                "dropped": rec.dropped,
-                "retained": rec.appended - rec.dropped,
-                "capacity": rec.capacity,
-            }
-            for pid, rec in sorted(self.recorders.items())
-        }
+    def ring_stats(self) -> dict[int, dict[str, Any]]:
+        return {pid: rec.ring_stats() for pid, rec in sorted(self.recorders.items())}
 
     def health(self) -> dict[str, Any]:
         wm = self.merger.watermark

@@ -68,10 +68,7 @@ def dump_snapshot(tracer: Tracer, pid: int | None, path_or_file: Any) -> int:
         "kind": SNAPSHOT_KIND,
         "version": 1,
         "pid": pid,
-        "capacity": tracer.capacity,
-        "appended": tracer.appended,
-        "dropped": tracer.dropped,
-        "retained": tracer.appended - tracer.dropped,
+        **tracer.ring_stats(),
         #: Absolute index (in emission order) of the first retained
         #: event -- a reader can tell exactly which prefix is gone.
         "first_index": tracer.dropped,

@@ -15,7 +15,7 @@ are measured without wall-clock noise.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.obs.events import (
     DETECT,
@@ -45,6 +45,7 @@ class NullTracer:
 
     enabled = False
     capacity: int | None = 0  # keeps nothing
+    protocol_events: Sequence[ObsEvent] = ()
 
     # -- events --------------------------------------------------------
     def emit(self, kind: str, time: float, pid: int | None = None, **data: Any) -> None:
@@ -151,12 +152,13 @@ def ensure_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer"
 class Tracer(NullTracer):
     """The recording tracer; ``capacity`` is what it keeps.
 
-    ``None``: every event, in emission order.  ``0``: none -- counters,
-    timers and subscribers only, for a run whose consumers keep what
-    they read (a chaos run's ``MonitorSet``).  ``N > 0``: a flight
-    recorder -- the last N events in a ring, drops accounted, and every
-    protocol event (O(rounds)) in :attr:`protocol_events`, so the replay
-    digest and the Lamport merge survive ring overflow.
+    ``None``: every event, in emission order.  ``N >= 0``: every
+    protocol event (O(rounds)) in :attr:`protocol_events`, plus the last
+    N events of any kind in a ring, drops accounted -- so the replay
+    digest, the Lamport merge and the monitors' trace prefixes survive
+    ring overflow.  ``0`` is "protocol events only": a run nobody asked
+    to write message chatter for (a chaos run, a net run without
+    ``trace_dir``).
     """
 
     enabled = True
@@ -168,7 +170,7 @@ class Tracer(NullTracer):
         self._events: list[ObsEvent] | deque[ObsEvent] = (
             [] if capacity is None else deque(maxlen=capacity)
         )
-        #: Every protocol event, kept past the ring (``capacity > 0``).
+        #: Every protocol event, kept past the ring (``capacity`` not None).
         self.protocol_events: list[ObsEvent] = []
         self.appended = 0  # events ever emitted
         self._counters: dict[str, int | float] = {}
@@ -185,7 +187,7 @@ class Tracer(NullTracer):
         event = ObsEvent(kind, time, pid, data)
         self.appended += 1
         self._events.append(event)
-        if self.capacity and kind in PROTOCOL_KINDS:
+        if self.capacity is not None and kind in PROTOCOL_KINDS:
             self.protocol_events.append(event)
         if self._listeners:
             for listener in self._listeners:
@@ -296,6 +298,16 @@ class Tracer(NullTracer):
     def dropped(self) -> int:
         """Events emitted but no longer kept (``appended - retained``)."""
         return self.appended - len(self._events)
+
+    def ring_stats(self) -> dict[str, Any]:
+        """``appended``/``dropped``/``retained``/``capacity``: the one
+        shape of a run's ``metrics_summary["rings"]`` entries."""
+        return {
+            "appended": self.appended,
+            "dropped": self.dropped,
+            "retained": len(self._events),
+            "capacity": self.capacity,
+        }
 
     @property
     def counters(self) -> dict[str, int | float]:

@@ -205,6 +205,9 @@ def test_trace_dir_dump(tmp_path):
     assert names == ["merged.jsonl", "trace-0.jsonl", "trace-1.jsonl", "trace-2.jsonl"]
     merged = (out / "merged.jsonl").read_text().strip().splitlines()
     assert len(merged) == len(result.merged_events)
+    # Asked for files, the run keeps and writes its message chatter too.
+    rows = [json.loads(line) for line in (out / "trace-0.jsonl").open()]
+    assert any(row["kind"] == "msg_send" for row in rows)
 
 
 def test_config_validation():

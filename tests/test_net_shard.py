@@ -391,6 +391,22 @@ def test_sharded_live_run_rings_overflow_and_keep_the_digest():
     assert any(ring["dropped"] > 0 for ring in rings.values())
 
 
+def test_rings_read_the_same_on_every_path():
+    """``metrics_summary["rings"]`` has one shape, single-loop live and
+    sharded: a scraper reading ``retained`` works on both."""
+    single = run_sync(NetConfig(nodes=4, barriers=3, live=True, ring_capacity=16))
+    sharded = run_sync(NetConfig(nodes=4, barriers=3, shards=2))
+    for result, capacity in ((single, 16), (sharded, 0)):
+        assert result.ok
+        rings = result.metrics_summary["rings"]
+        assert sorted(rings, key=int) == ["0", "1", "2", "3"]
+        for ring in rings.values():
+            assert set(ring) == {"appended", "dropped", "retained", "capacity"}
+            assert ring["capacity"] == capacity
+            assert ring["retained"] == ring["appended"] - ring["dropped"]
+            assert ring["retained"] <= capacity
+
+
 def test_mb_sharded_with_crash():
     plan = FaultPlan(
         nprocs=6, seed=9, events=(FaultEvent(pid=2, when=1.0),)

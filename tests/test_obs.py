@@ -154,15 +154,19 @@ class TestTracer:
         t = Tracer.from_events(evs)
         assert t.events == evs
 
-    def test_capacity_zero_keeps_nothing_but_feeds_subscribers(self):
+    def test_capacity_zero_keeps_protocol_events_only(self):
         t = Tracer(capacity=0)
         seen = []
         t.subscribe(seen.append)
         t.phase_start(0.0, 0)
         t.token_pass(0.1, src=0, dst=1)
         t.incr("obs.phases_successful")
-        assert t.enabled and t.events == [] and t.protocol_events == []
+        assert t.enabled and t.events == []
+        assert [e.kind for e in t.protocol_events] == ["phase_start"]
         assert (t.appended, t.dropped) == (2, 2)
+        assert t.ring_stats() == {
+            "appended": 2, "dropped": 2, "retained": 0, "capacity": 0
+        }
         assert [e.kind for e in seen] == ["phase_start", "token_pass"]
         assert t.counters == {"obs.phases_successful": 1}
 

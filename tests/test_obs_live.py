@@ -168,6 +168,23 @@ def test_live_run_digest_matches_full_stream_projection():
     assert result.digest == trace_digest(streams)
 
 
+def test_a_live_run_keeps_o_rounds():
+    """``ring_capacity`` bounds what a live run keeps end to end: every
+    event still flows through the streaming merge, but only the
+    protocol events stay merged."""
+    barriers = 40
+    result = run_sync(
+        NetConfig(nodes=8, barriers=barriers, live=True, ring_capacity=16)
+    )
+    assert result.ok
+    assert len(result.merged_events) == 2 * barriers  # clean: no faults
+    rings = result.metrics_summary["rings"].values()
+    assert all(ring["retained"] <= 16 for ring in rings)
+    appended = sum(ring["appended"] for ring in rings)
+    assert result.metrics_summary["merged_released"] == appended
+    assert appended > 20 * barriers
+
+
 def test_live_verdicts_equal_post_hoc_on_the_same_stream():
     """The PR's equivalence criterion, on one run's merged stream: the
     streaming monitors (fed in watermark order mid-run) and the post-hoc
@@ -326,3 +343,7 @@ def test_live_trace_dir_writes_flight_snapshots(tmp_path):
     assert header["capacity"] == 16
     assert len(events) <= 16
     assert header["appended"] == header["dropped"] + len(events)
+    # merged.jsonl is the whole merged run, message chatter included.
+    merged = [json.loads(line) for line in (out / "merged.jsonl").open()]
+    assert len(merged) == len(result.merged_events)
+    assert any(row["kind"] == "msg_send" for row in merged)

@@ -17,19 +17,17 @@ and checking:
     :func:`repro.gc.properties.stabilization_profile` since weak fairness
     cannot be decided from the plain transition graph.
 
-Performance options (all off by default, all result-preserving):
+States are interned as :class:`KeyCodec` byte keys -- one byte per
+``(variable, pid)`` cell holding the value's index in its domain.  They
+hash and compare faster than nested ``State.key()`` tuples and occupy
+about half the memory, which matters once graphs reach the
+10^5..10^6 range; ``state_of`` decodes a key back into a
+:class:`State`.
 
-* ``compact_keys`` -- intern states as per-cell domain-index byte
-  strings (:class:`KeyCodec`) instead of nested tuples.  Byte keys hash
-  and compare several times faster and occupy a fraction of the memory,
-  which matters once graphs reach the 10^5..10^6 range.  The result's
-  key *type* changes (``bytes`` instead of ``tuple``), so it is opt-in;
-  ``ExplorationResult.state_of`` handles either.
-* successor memoization -- ``Explorer`` caches each expanded key's
-  successor keys, so repeated explorations over overlapping regions
-  (convergence checks from many fault-perturbed roots) skip
-  re-expansion.  Bounded by ``max_states`` entries; cleared with
-  :meth:`Explorer.clear_cache`.
+``Explorer`` caches each expanded key's successor keys, so repeated
+explorations over overlapping regions (convergence checks from many
+fault-perturbed roots) skip re-expansion.  The memo is bounded by
+``max_states`` entries and cleared with :meth:`Explorer.clear_cache`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 from repro.gc.incremental import EnabledIndex
 from repro.gc.program import Program
@@ -46,9 +44,8 @@ from repro.gc.state import State
 
 StatePredicate = Callable[[State], bool]
 
-#: A state key: ``State.key()`` tuples by default, ``bytes`` under
-#: ``compact_keys``.  Both are hashable and order-stable.
-Key = Hashable
+#: A state key: the :class:`KeyCodec` encoding of a state.
+Key = bytes
 
 
 class KeyCodec:
@@ -60,8 +57,12 @@ class KeyCodec:
     match :meth:`State.key`.  Encoding requires every variable's domain
     to be enumerable and every reachable value to be in it -- which holds
     for all programs built by this package, since domains validate
-    writes.
+    writes.  A domain wider than :data:`MAX_DOMAIN` values has no
+    two-byte index and is refused with a ``ValueError``.
     """
+
+    #: The widest domain a two-byte cell can index.
+    MAX_DOMAIN = 1 << 16
 
     def __init__(self, program: Program) -> None:
         self.program = program
@@ -75,6 +76,11 @@ class KeyCodec:
         self.wide = False
         for name in self._names:
             values = tuple(by_name[name].domain.values())
+            if len(values) > self.MAX_DOMAIN:
+                raise ValueError(
+                    f"variable {name!r} has {len(values)} domain values; "
+                    f"KeyCodec indexes at most {self.MAX_DOMAIN}"
+                )
             if len(values) > 256:
                 self.wide = True
             self._values.append(values)
@@ -127,6 +133,8 @@ class ExplorationResult:
     """
 
     program: Program
+    #: The codec the keys were encoded with (:meth:`state_of` decodes).
+    codec: KeyCodec
     states: set[Key]
     transitions: dict[Key, set[Key]]
     truncated: bool = False
@@ -134,54 +142,39 @@ class ExplorationResult:
     #: Keys discovered but dropped by the budget (empty unless
     #: ``truncated``); never overlaps ``states``.
     unexpanded: set[Key] = field(default_factory=set)
-    #: Codec used for ``bytes`` keys; ``None`` for tuple keys.
-    codec: KeyCodec | None = None
 
     def state_of(self, key: Key) -> State:
-        if isinstance(key, bytes):
-            if self.codec is None:
-                raise ValueError("bytes key but no codec on this result")
-            return self.codec.decode(key)
-        return State.from_key(key, self.program.nprocs)
+        return self.codec.decode(key)
 
     def __len__(self) -> int:
         return len(self.states)
 
 
 class Explorer:
-    """Breadth-first exploration of a program's state space.
-
-    ``compact_keys`` switches result keys from ``State.key()`` tuples to
-    interned :class:`KeyCodec` byte strings (see module docstring) and
-    produces the identical graph, modulo key representation.
-    """
+    """Breadth-first exploration of a program's state space, keyed by
+    :class:`KeyCodec` byte strings (see module docstring)."""
 
     def __init__(
         self,
         program: Program,
         max_states: int = 200_000,
-        compact_keys: bool = False,
         backend: str = "interpreter",
     ) -> None:
         self.program = program
         self.max_states = max_states
-        self.compact_keys = compact_keys
         self.backend = backend
         # One engine expands every state.  The live engine's
         # ``successors`` is stateless, so a program the daemons would
         # run plain (nothing declared: no engine) still goes through it.
         self._engine = _select_engine(program, backend) or EnabledIndex(program)
-        self.codec = KeyCodec(program) if compact_keys else None
-        #: key -> tuple of (succ_key, succ_state-or-None); states are
-        #: kept only until first use to avoid holding the whole graph.
+        self.codec = KeyCodec(program)
+        #: key -> its successor keys (states are rebuilt on demand, so
+        #: the memo never holds the whole graph's states).
         self._succ_memo: dict[Key, tuple[Key, ...]] = {}
 
     def clear_cache(self) -> None:
         """Drop the successor memo (after mutating the program, say)."""
         self._succ_memo.clear()
-
-    def _key(self, state: State) -> Key:
-        return self.codec.encode(state) if self.codec else state.key()
 
     # ------------------------------------------------------------------
     def successors(self, state: State) -> list[State]:
@@ -198,7 +191,9 @@ class Explorer:
         """
         return self._engine.successors(state)
 
-    def _expand(self, state: State, key: Key) -> tuple[tuple[Key, State], ...]:
+    def _expand(
+        self, state: State, key: Key
+    ) -> tuple[tuple[Key, State | None], ...]:
         """Successors of ``key`` as (key, state) pairs, memoized.
 
         On a memo hit the states are rebuilt from their keys only when
@@ -207,8 +202,9 @@ class Explorer:
         """
         cached = self._succ_memo.get(key)
         if cached is not None:
-            return tuple((sk, None) for sk in cached)  # type: ignore[misc]
-        pairs = tuple((self._key(s), s) for s in self.successors(state))
+            return tuple((sk, None) for sk in cached)
+        encode = self.codec.encode
+        pairs = tuple((encode(s), s) for s in self.successors(state))
         if len(self._succ_memo) < self.max_states:
             self._succ_memo[key] = tuple(sk for sk, _ in pairs)
         return pairs
@@ -226,7 +222,7 @@ class Explorer:
         initial: set[Key] = set()
         for s in roots:
             snap = s.snapshot()
-            k = self._key(snap)
+            k = self.codec.encode(snap)
             if k not in initial:
                 initial.add(k)
                 frontier.append((k, snap))
@@ -256,20 +252,17 @@ class Explorer:
                 unexpanded.update(succs - seen)
         return ExplorationResult(
             self.program,
+            self.codec,
             seen,
             transitions,
             truncated,
             initial,
             unexpanded,
-            self.codec,
         )
 
     def state_of(self, key: Key) -> State:
         """Decode a key produced by this explorer."""
-        if isinstance(key, bytes):
-            assert self.codec is not None
-            return self.codec.decode(key)
-        return State.from_key(key, self.program.nprocs)
+        return self.codec.decode(key)
 
     def full_state_space(self) -> list[State]:
         """Every syntactically possible state (product of domains).

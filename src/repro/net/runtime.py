@@ -443,6 +443,11 @@ async def _run_group(
         "link_stats": dict(link_stats),
         "wall_s": wall_s,
         "trace_paths": trace_paths,
+        "rings": {
+            str(pid): tracer.ring_stats()
+            for pid, tracer in tracers.items()
+            if tracer.enabled
+        },
     }
 
 
@@ -476,11 +481,13 @@ def _assemble(
     node_stats: dict[int, dict[str, int]] = {}
     link_stats: Counter[str] = Counter()
     trace_paths: list[str] = []
+    rings: dict[str, dict[str, Any]] = {}
     for report in reports:
         rounds.update(report["rounds"])
         node_stats.update(report["node_stats"])
         link_stats.update(report["link_stats"])
         trace_paths.extend(report["trace_paths"])
+        rings.update(report["rings"])
     if config.protocol == "tree":
         completed = min(rounds.values())
         reached = all(r >= config.barriers for r in rounds.values())
@@ -527,7 +534,7 @@ def _assemble(
         merged_events=merged,
         trace_paths=trace_paths,
         metrics_summary=_metrics_summary(
-            check_plan, nphases, digest, violations, spans, plane
+            check_plan, nphases, digest, violations, spans, rings, plane
         ),
         obs_url=obs_url,
     )
@@ -646,10 +653,12 @@ def _metrics_summary(
     digest: str,
     violations: list[Any],
     spans: list[float],
+    rings: dict[str, dict[str, Any]],
     plane: Any,
 ) -> dict[str, Any]:
-    """The scrape-ready run summary: digest + per-guarantee verdicts,
-    plus ring/merge accounting when the live plane ran."""
+    """The scrape-ready run summary: digest, per-guarantee verdicts and
+    every traced node's ring, plus merge accounting when the live plane
+    ran."""
     checked = sorted(
         {
             m.guarantee
@@ -665,11 +674,9 @@ def _metrics_summary(
         "violations_total": len(violations),
         "stabilization_spans": len(spans),
         "live": plane is not None,
+        "rings": rings,
     }
     if plane is not None:
-        summary["rings"] = {
-            str(pid): stats for pid, stats in plane.ring_stats().items()
-        }
         summary["merged_released"] = plane.merger.released
         summary["spans_finished"] = dict(plane.folder.finished)
     return summary

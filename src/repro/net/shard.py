@@ -317,12 +317,7 @@ async def _worker_async(spec: ShardSpec, conn: Any) -> dict[str, Any]:
 
     # The O(rounds) protocol events are all the coordinator needs to
     # merge, digest and monitor; a ring (live, or for a snapshot) stays here.
-    rings = {
-        str(pid): tracer.ring_stats()
-        for pid, tracer in tracers.items()
-        if tracer.enabled
-    }
-    return {"report": report, "events": _streams(tracers), "rings": rings}
+    return {"report": report, "events": _streams(tracers)}
 
 
 # ----------------------------------------------------------------------
@@ -448,10 +443,8 @@ def run_sharded(config: Any) -> Any:
     wall_total = _time.perf_counter() - wall_start
 
     events: dict[int, list] = {}
-    rings: dict[str, dict[str, int]] = {}
     for payload in payloads:
         events.update(payload["events"])
-        rings.update(payload["rings"])
     reports = [payload["report"] for payload in payloads]
     result = _assemble(config, reports, events)
     # ``result.wall_s`` is the slowest shard's run phase; what launching,
@@ -465,8 +458,6 @@ def run_sharded(config: Any) -> Any:
         "boot_walls": boot_walls,
         "coordinator_wall_s": wall_total,
     }
-    if rings:
-        result.metrics_summary["rings"] = rings
     return result
 
 

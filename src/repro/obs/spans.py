@@ -10,13 +10,13 @@ human watching a live run.  :class:`SpanFolder` rebuilds the hierarchy
 * a **participation span** per (round, pid) covering that node's
   message activity inside the round, parented under the barrier span;
 * a **fault chain span** per injected fault -- fault -> detect ->
-  recovery -> first clean successful phase -- using exactly the PR-2
-  causal attribution rules (:mod:`repro.obs.causal`): recoveries match
-  per-pid FIFO, pid-less recoveries are system-wide and close every
-  open chain, detects attribute in global order.  The span closes at
-  the first clean phase end, so its duration is the chain's
-  ``total_latency`` and its ``recovery_latency`` attr is the Figure 7
-  quantity, measured as the chain closes rather than post-hoc.
+  recovery -> first clean successful phase.  The chains are the ones
+  :func:`repro.obs.causal.build_chains` reports, because both read the
+  one online fold, :class:`repro.obs.causal.ChainFolder`: a span mirrors
+  its chain's fields as they are set.  The span closes at the first
+  clean phase end, so its duration is the chain's ``total_latency`` and
+  its ``recovery_latency`` attr is the Figure 7 quantity, measured as
+  the chain closes rather than post-hoc.
 
 Finished spans go to a bounded ``recent`` ring (the ``/spans/recent``
 endpoint body) and to an optional ``sink`` callback (the ``obs tail``
@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.obs.causal import ChainFolder, FaultChain
 from repro.obs.events import (
     DETECT,
     FAULT,
@@ -108,10 +109,9 @@ class SpanFolder:
         self._open_round: Span | None = None
         #: pid -> (first time, last time, event count) inside the round.
         self._round_activity: dict[int, tuple[float, float, int]] = {}
-        #: pid -> FIFO of open fault-chain spans awaiting recovery.
-        self._open_faults: dict[int | None, list[Span]] = {}
-        #: Chains recovered but awaiting their first clean phase end.
-        self._awaiting_clean: list[Span] = []
+        self._chains = ChainFolder()
+        #: ``id(chain)`` -> its span, for the chains still open.
+        self._chain_spans: dict[int, Span] = {}
 
     # -- plumbing ------------------------------------------------------
     def _open(self, kind: str, name: str, start: float, **kw: Any) -> Span:
@@ -135,9 +135,8 @@ class SpanFolder:
         out: list[Span] = []
         if self._open_round is not None:
             out.append(self._open_round)
-        for queue in self._open_faults.values():
-            out.extend(queue)
-        out.extend(self._awaiting_clean)
+        for chain in self._chains.unrecovered + self._chains.recovered:
+            out.append(self._chain_spans[id(chain)])
         return out
 
     def recent_dicts(self) -> list[dict[str, Any]]:
@@ -171,55 +170,9 @@ class SpanFolder:
         elif kind == PHASE_END:
             success = bool(event.data.get("success"))
             self._close_round(event.time, "ok" if success else "failed", event)
-            if success and self._awaiting_clean:
-                for span in self._awaiting_clean:
-                    span.attrs["clean_phase_time"] = event.time
-                    span.attrs["total_latency"] = event.time - span.start
-                    self._finish(span, event.time, "recovered")
-                self._awaiting_clean = []
-        elif kind == FAULT:
-            parent = self._open_round.span_id if self._open_round else None
-            span = self._open(
-                FAULT_CHAIN,
-                f"fault@{event.time:g}",
-                event.time,
-                pid=event.pid,
-                parent_id=parent,
-                attrs={
-                    "detectable": bool(event.data.get("detectable", True)),
-                    "fault_time": event.time,
-                },
-            )
-            self._open_faults.setdefault(event.pid, []).append(span)
-        elif kind == DETECT:
-            # Global-order attribution: earliest open, not-yet-detected
-            # chain (detection is observed at the root, not the victim).
-            for span in sorted(
-                (s for q in self._open_faults.values() for s in q),
-                key=lambda s: s.span_id,
-            ):
-                if "detect_time" not in span.attrs:
-                    span.attrs["detect_time"] = event.time
-                    span.attrs["detection_latency"] = event.time - span.start
-                    break
-        elif kind == RECOVERY:
-            queue = self._open_faults.get(event.pid)
-            if event.pid is not None and queue:
-                span = queue.pop(0)
-                if not queue:
-                    del self._open_faults[event.pid]
-                self._recover(span, event, system_wide=False)
-            else:
-                explicit = event.data.get("latency")
-                opened = sorted(
-                    (s for q in self._open_faults.values() for s in q),
-                    key=lambda s: s.span_id,
-                )
-                self._open_faults.clear()
-                for j, span in enumerate(opened):
-                    self._recover(span, event, system_wide=True)
-                    if explicit is not None and j == 0:
-                        span.attrs["recovery_latency"] = float(explicit)
+            self._fold_chains(event)
+        elif kind in (FAULT, DETECT, RECOVERY):
+            self._fold_chains(event)
         elif self.participation and kind in (MSG_SEND, MSG_RECV, TOKEN_PASS):
             if self._open_round is not None and event.pid is not None:
                 first, _, count = self._round_activity.get(
@@ -227,15 +180,24 @@ class SpanFolder:
                 )
                 self._round_activity[event.pid] = (first, event.time, count + 1)
 
-    def _recover(self, span: Span, event: ObsEvent, system_wide: bool) -> None:
-        span.attrs["recovery_time"] = event.time
-        span.attrs["system_wide_recovery"] = system_wide
-        explicit = event.data.get("latency")
-        if explicit is not None and not system_wide:
-            span.attrs["recovery_latency"] = float(explicit)
-        else:
-            span.attrs.setdefault("recovery_latency", event.time - span.start)
-        self._awaiting_clean.append(span)
+    def _fold_chains(self, event: ObsEvent) -> None:
+        """Feed the chain fold; open, update or finish each chain's span."""
+        for chain in self._chains.feed(event):
+            span = self._chain_spans.get(id(chain))
+            if span is None:  # a fault opened this chain
+                self._chain_spans[id(chain)] = self._open(
+                    FAULT_CHAIN,
+                    f"fault@{event.time:g}",
+                    event.time,
+                    pid=event.pid,
+                    parent_id=self._open_round.span_id if self._open_round else None,
+                    attrs=_chain_attrs(chain),
+                )
+                continue
+            span.attrs.update(_chain_attrs(chain))
+            if chain.clean_phase_time is not None:
+                del self._chain_spans[id(chain)]
+                self._finish(span, event.time, "recovered")
 
     def _close_round(
         self, time: float, status: str, event: ObsEvent | None
@@ -269,12 +231,28 @@ class SpanFolder:
         """End of stream: close whatever is still open, honestly."""
         if self._open_round is not None:
             self._close_round(time, "unfinished", None)
-        for span in sorted(
-            (s for q in self._open_faults.values() for s in q),
-            key=lambda s: s.span_id,
-        ):
-            self._finish(span, time, "unrecovered")
-        self._open_faults.clear()
-        for span in self._awaiting_clean:
-            self._finish(span, time, "recovered-no-clean-phase")
-        self._awaiting_clean = []
+        for chain in self._chains.unrecovered:
+            self._finish(self._chain_spans[id(chain)], time, "unrecovered")
+        for chain in self._chains.recovered:
+            self._finish(self._chain_spans[id(chain)], time, "recovered-no-clean-phase")
+        self._chains = ChainFolder()
+        self._chain_spans = {}
+
+
+def _chain_attrs(chain: FaultChain) -> dict[str, Any]:
+    """A fault-chain span's attrs: the fields its chain has so far."""
+    attrs: dict[str, Any] = {
+        "detectable": chain.detectable,
+        "fault_time": chain.fault_time,
+    }
+    if chain.detect_time is not None:
+        attrs["detect_time"] = chain.detect_time
+        attrs["detection_latency"] = chain.detection_latency
+    if chain.recovery_time is not None:
+        attrs["recovery_time"] = chain.recovery_time
+        attrs["system_wide_recovery"] = chain.system_wide_recovery
+        attrs["recovery_latency"] = chain.recovery_latency
+    if chain.clean_phase_time is not None:
+        attrs["clean_phase_time"] = chain.clean_phase_time
+        attrs["total_latency"] = chain.total_latency
+    return attrs

@@ -10,9 +10,9 @@ Three workloads, mirroring the three optimization layers:
   ratio incremental/full is the speedup the dirty-set machinery buys,
   and compiled/incremental is the further speedup of the memoized
   array-mirror engine.
-* **explorer** -- exhaustive reachability over CB's full state product,
-  with tuple keys vs ``compact_keys``; both must agree on the state and
-  edge counts.
+* **explorer** -- exhaustive reachability over CB's full state product
+  under the interpreter and the compiled backend; both must agree on
+  the state and edge counts.
 * **sweep** -- a small Figure 5 grid through
   :class:`~repro.experiments.sweep.SweepExecutor`: serial, parallel
   (``jobs=4``) and warm-cache runs must merge to bit-identical rows,
@@ -227,15 +227,10 @@ def bench_explorer(repeats: int) -> dict[str, Any]:
     program = make_cb(4)
     walls: dict[str, float] = {}
     counts: dict[str, tuple[int, int]] = {}
-    configs: dict[str, dict[str, Any]] = {
-        "tuple": dict(compact_keys=False),
-        "compact": dict(compact_keys=True),
-        "compiled": dict(compact_keys=True, backend="compiled"),
-    }
-    for label, kwargs in configs.items():
+    for label in ("interpreter", "compiled"):
         best = float("inf")
         for _ in range(repeats):
-            explorer = Explorer(program, **kwargs)
+            explorer = Explorer(program, backend=label)
             roots = explorer.full_state_space()
             start = time.perf_counter()
             result = explorer.reachable(roots)
@@ -249,16 +244,14 @@ def bench_explorer(repeats: int) -> dict[str, Any]:
     return {
         "deterministic": {
             name: {
-                "states": counts["compact"][0],
-                "edges": counts["compact"][1],
-                "representation_identical": counts["tuple"] == counts["compact"],
-                "compiled_identical": counts["compiled"] == counts["compact"],
+                "states": counts["interpreter"][0],
+                "edges": counts["interpreter"][1],
+                "compiled_identical": counts["compiled"] == counts["interpreter"],
             }
         },
         "ratios": {
             name: {
-                "ratio": walls["tuple"] / walls["compact"],
-                "compiled_ratio": walls["compact"] / walls["compiled"],
+                "compiled_ratio": walls["interpreter"] / walls["compiled"],
             }
         },
         "wall": {name: {f"{label}_s": wall for label, wall in walls.items()}},
@@ -363,7 +356,6 @@ ROWS = (
             Row(f"kernel.{name}.compiled_identical", "==", True),
         )
     ),
-    Row("explorer.cb4-full-space.representation_identical", "==", True),
     Row("explorer.cb4-full-space.compiled_identical", "==", True),
     Row("sweep.fig5-small.bit_identical", "==", True),
     Row("sweep.fig5-small.warm_cache_speedup", ">=", WARM_CACHE_SPEEDUP),

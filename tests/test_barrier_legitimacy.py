@@ -68,9 +68,8 @@ class TestCBPredicates:
         small instance (predicate exactness, both directions)."""
         prog = make_cb(2, 2)
         explorer = Explorer(prog)
-        reachable = {
-            k for k in explorer.reachable([prog.initial_state()]).states
-        }
+        result = explorer.reachable([prog.initial_state()])
+        reachable = {result.state_of(k).key() for k in result.states}
         legit = {
             s.key()
             for s in explorer.full_state_space()

@@ -12,8 +12,8 @@ and seeded fault schedules -- and every program is executed three ways:
 
 All three must produce the *bit-identical* trace digest
 (:func:`repro.gc.trace.trace_digest`) and final state, and the explorer
-must count the identical reachable graph under tuple keys, compact keys,
-and the compiled backend.
+must count the identical reachable graph under the interpreter and the
+compiled backend.
 
 A failing case is written, as JSON, to ``tests/reproducers/<test>.json``
 before the assertion propagates.  Hypothesis replays the *shrunk*
@@ -205,15 +205,11 @@ def check_traces_agree(case, reproducer="trace_differential"):
 
 def check_explorations_agree(case, reproducer="explorer_differential"):
     counts = {
-        "tuple": explore_case(case, {}),
-        "compact": explore_case(case, {"compact_keys": True}),
-        "compiled": explore_case(
-            case, {"compact_keys": True, "backend": "compiled"}
-        ),
+        "interpreter": explore_case(case, {}),
+        "compiled": explore_case(case, {"backend": "compiled"}),
     }
     try:
-        assert counts["tuple"] == counts["compact"], counts
-        assert counts["tuple"] == counts["compiled"], counts
+        assert counts["interpreter"] == counts["compiled"], counts
     except AssertionError:
         path = save_reproducer(reproducer, case)
         raise AssertionError(
@@ -332,8 +328,8 @@ def test_trace_digests_identical_across_backends(case):
 @settings(max_examples=60, **COMMON)
 @given(case=cases(max_procs=3, with_faults=False))
 def test_explorer_counts_identical_across_backends(case):
-    """Tuple-keyed, compact-keyed, and compiled explorations must build
-    the identical reachable graph (states, edges, degree profile)."""
+    """Interpreter and compiled explorations must build the identical
+    reachable graph (states, edges, degree profile)."""
     check_explorations_agree(case)
 
 

@@ -284,11 +284,18 @@ def test_fabric_listener_drops_an_inauthentic_link(stream):
 # ----------------------------------------------------------------------
 # Replay determinism across process boundaries
 # ----------------------------------------------------------------------
-def test_sharded_matches_single_loop_digest_and_replays():
+@pytest.fixture(scope="module")
+def single_loop_run():
+    """``run_sync(_config())``, the single-loop side both comparisons
+    below hold the sharded runs to, run once for the module."""
+    return run_sync(_config())
+
+
+def test_sharded_matches_single_loop_digest_and_replays(single_loop_run):
     """The PR's two acceptance criteria in one (expensive) run triplet:
     sharded == single-loop digest under a seeded drop+delay+crash plan,
     and two same-seed sharded runs are digest-identical."""
-    single = run_sync(_config())
+    single = single_loop_run
     shard_a = run_sync(_config(shards=4))
     shard_b = run_sync(_config(shards=4))
     for result in (single, shard_a, shard_b):
@@ -312,13 +319,18 @@ def _adversarial_config(**overrides):
 
 
 @pytest.mark.parametrize("config", [_config, _adversarial_config])
-def test_sharded_result_equals_single_loop_on_every_deterministic_field(config):
+def test_sharded_result_equals_single_loop_on_every_deterministic_field(
+    config, request
+):
     """One pipeline, so everything in a ``NetResult`` that is a function
     of ``(plan, config)`` agrees across the process cut -- not only the
     digest.  Timing-dependent fields (link stats, resend counts, span
     values, Lamport end time) legitimately differ between interleavings
     and are left alone."""
-    single = run_sync(config())
+    if config is _config:
+        single = request.getfixturevalue("single_loop_run")
+    else:
+        single = run_sync(config())
     sharded = run_sync(config(shards=2))
 
     def deterministic(result):
@@ -405,6 +417,18 @@ def test_rings_read_the_same_on_every_path():
             assert ring["capacity"] == capacity
             assert ring["retained"] == ring["appended"] - ring["dropped"]
             assert ring["retained"] <= capacity
+
+
+def test_a_single_loop_run_reports_its_rings_without_the_plane():
+    """``rings`` is in every run's summary, not only live or sharded
+    ones: a plain single-loop run traces each node into ``Tracer(0)``."""
+    result = run_sync(NetConfig(nodes=8, barriers=40, transport="unix", seed=3))
+    assert result.ok
+    rings = result.metrics_summary["rings"]
+    assert sorted(rings, key=int) == [str(pid) for pid in range(8)]
+    for ring in rings.values():
+        assert ring["capacity"] == 0 and ring["retained"] == 0
+        assert ring["dropped"] == ring["appended"] > 0
 
 
 def test_mb_sharded_with_crash():

@@ -212,10 +212,18 @@ class TestUnparse:
 
 
 def transition_graph(program, roots):
+    """The graph with keys decoded to ``State.key()`` tuples: byte keys
+    compare only under one codec, and the programs compared here are
+    different programs with codecs of their own."""
     explorer = Explorer(program)
     result = explorer.reachable(roots)
-    return result.states, {
-        k: frozenset(v) for k, v in result.transitions.items()
+
+    def norm(key):
+        return result.state_of(key).key()
+
+    return {norm(k) for k in result.states}, {
+        norm(k): frozenset(norm(s) for s in v)
+        for k, v in result.transitions.items()
     }
 
 

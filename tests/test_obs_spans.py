@@ -9,6 +9,8 @@ detects, system-wide fallback) and the same latencies.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import Tracer
 from repro.obs.causal import build_chains
@@ -169,3 +171,84 @@ def test_span_render_and_sink():
     (span,) = seen
     text = span.render()
     assert "barrier" in text and "round-0" in text and "ok" in text
+
+
+PIDS = st.sampled_from([None, 0, 1, 2])
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("fault"), PIDS, st.booleans()),
+        st.tuples(st.just("detect")),
+        st.tuples(
+            st.just("recovery"),
+            PIDS,
+            st.one_of(st.none(), st.floats(0.0, 10.0, allow_nan=False)),
+        ),
+        st.tuples(st.just("phase_start")),
+        st.tuples(st.just("phase_end"), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+def _stream(steps) -> list:
+    t = Tracer()
+    phase = 0
+    for i, step in enumerate(steps):
+        time = 1.0 + 0.5 * i
+        if step[0] == "fault":
+            t.fault(time, step[1], detectable=step[2])
+        elif step[0] == "detect":
+            t.detect(time, 0)
+        elif step[0] == "recovery":
+            if step[2] is None:
+                t.recovery(time, step[1])
+            else:
+                t.recovery(time, step[1], latency=step[2])
+        elif step[0] == "phase_start":
+            t.phase_start(time, phase)
+        else:
+            t.phase_end(time, phase, step[1])
+            phase += 1
+    return t.events
+
+
+def _chain_status(chain) -> str:
+    if chain.clean_phase_time is not None:
+        return "recovered"
+    if chain.recovery_time is not None:
+        return "recovered-no-clean-phase"
+    return "unrecovered"
+
+
+@given(steps=STEPS)
+def test_fault_chain_spans_equal_build_chains_on_random_streams(steps):
+    """On any stream of faults (pid-less or not), detects, pid-matched
+    and system-wide recoveries (with and without an explicit latency)
+    and phase boundaries, the folder's fault-chain spans are
+    ``build_chains``, field by field and on status."""
+    events = _stream(steps)
+    chains = build_chains(events)
+    spans = sorted(spans_of(folded(events), FAULT_CHAIN), key=lambda s: s.span_id)
+    assert len(spans) == len(chains)
+    for span, chain in zip(spans, chains):
+        assert span.start == chain.fault_time
+        assert span.pid == chain.pid
+        assert span.status == _chain_status(chain)
+        if span.status == "recovered":
+            assert span.end == chain.clean_phase_time
+        got = {key: span.attrs.get(key) for key in (
+            "detectable", "detect_time", "detection_latency",
+            "recovery_time", "recovery_latency", "clean_phase_time",
+            "total_latency",
+        )}
+        assert got == {
+            "detectable": chain.detectable,
+            "detect_time": chain.detect_time,
+            "detection_latency": chain.detection_latency,
+            "recovery_time": chain.recovery_time,
+            "recovery_latency": chain.recovery_latency,
+            "clean_phase_time": chain.clean_phase_time,
+            "total_latency": chain.total_latency,
+        }
+        if chain.recovery_time is not None:
+            assert span.attrs["system_wide_recovery"] == chain.system_wide_recovery

@@ -9,6 +9,11 @@ paper) and a phase number ``ph.j`` in modulo-``n`` arithmetic:
 * ``ERROR``   -- j's control position was detectably corrupted;
 * ``REPEAT``  -- (ring/tree refinements only) a detected fault is being
   propagated along the token so process 0 re-executes the current phase.
+
+RB's barrier layer (Section 4.1) is two rules superposed on the token,
+written once here: :func:`follower_cp` (T2 at ``j != 0``) and
+:func:`root_step` (T1 at process 0).  RB, MB, ``MBMachine``, the timed
+tree's followers and the Section 8 tables all read them.
 """
 
 from __future__ import annotations
@@ -38,6 +43,44 @@ CB_CP_DOMAIN = EnumDomain((CP.READY, CP.EXECUTE, CP.SUCCESS, CP.ERROR))
 RB_CP_DOMAIN = EnumDomain(
     (CP.READY, CP.EXECUTE, CP.SUCCESS, CP.ERROR, CP.REPEAT)
 )
+
+
+def follower_cp(current: CP, upstream: CP) -> CP | None:
+    """T2's rule: the new ``cp.j`` given ``cp.j`` and the upstream cp;
+    ``None`` means the statement writes nothing."""
+    if current is CP.READY and upstream is CP.EXECUTE:
+        return CP.EXECUTE
+    if current is CP.EXECUTE and upstream is CP.SUCCESS:
+        return CP.SUCCESS
+    if current is not CP.EXECUTE and upstream is CP.READY:
+        return CP.READY
+    if current is CP.ERROR or upstream is not current:
+        return CP.REPEAT
+    return None
+
+
+class PhaseStep(enum.Enum):
+    """What T1 does to ``ph.0``: keep it, ``ph.0 + 1``, or a final's."""
+
+    KEEP = "keep"
+    ADVANCE = "advance"
+    ADOPT = "adopt"
+
+
+def root_step(
+    cp0: CP, ready: bool, success: bool, in_phase: bool
+) -> tuple[CP | None, PhaseStep]:
+    """T1's rule at process 0, given whether every final is ready, is
+    success and has ``ph = ph.0``: the ``cp.0`` to write (``None``:
+    nothing) and the phase action, which is written first."""
+    if cp0 is CP.READY:
+        return (CP.EXECUTE if ready and in_phase else None), PhaseStep.KEEP
+    if cp0 is CP.EXECUTE:
+        return CP.SUCCESS, PhaseStep.KEEP
+    if cp0 is CP.SUCCESS:
+        advance = success and in_phase
+        return CP.READY, PhaseStep.ADVANCE if advance else PhaseStep.ADOPT
+    return CP.READY, PhaseStep.ADOPT  # error or repeat
 
 
 def phase_succ(phase: int, nphases: int) -> int:

@@ -19,7 +19,8 @@ Actions at process ``j``:
 * ``CPREV`` -- copy the predecessor (guard: ``sn.(j-1)`` ordinary and
   ``lsn_prev.j != sn.(j-1)``); applies the follower update to the copy
   cell (``lsn_prev := sn.(j-1)``, ``lph_prev := ph.(j-1)``, ``lcp_prev``
-  stepped by the RB follower rules against ``cp.(j-1)``);
+  stepped by :func:`~repro.barrier.control.follower_cp` against
+  ``cp.(j-1)``);
 * ``T1`` (j = 0) -- as in RB but against the local copies;
 * ``T2`` (j != 0) -- as in RB but against the local copies;
 * ``T3`` (j = N) -- ``sn.N = BOT -> sn.N := TOP`` (reads own state);
@@ -39,7 +40,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.barrier.control import CP, RB_CP_DOMAIN
+from repro.barrier.control import (
+    CP,
+    RB_CP_DOMAIN,
+    PhaseStep,
+    follower_cp,
+    phase_succ,
+    root_step,
+)
 from repro.gc.actions import Action, StateView
 from repro.gc.domains import BOT, TOP, IntRange, SequenceNumberDomain
 from repro.gc.faults import FaultSpec
@@ -49,19 +57,6 @@ from repro.gc.state import State
 
 def _ordinary(value: Any) -> bool:
     return value is not BOT and value is not TOP
-
-
-def _follower_cp(current: Any, upstream: Any) -> Any | None:
-    """The RB follower control-position rules; ``None`` means no change."""
-    if current is CP.READY and upstream is CP.EXECUTE:
-        return CP.EXECUTE
-    if current is CP.EXECUTE and upstream is CP.SUCCESS:
-        return CP.SUCCESS
-    if current is not CP.EXECUTE and upstream is CP.READY:
-        return CP.READY
-    if current is CP.ERROR or upstream is not current:
-        return CP.REPEAT
-    return None
 
 
 def _make_cprev(pred: int):
@@ -76,7 +71,7 @@ def _make_cprev(pred: int):
             ("lsn_prev", view.of("sn", pred)),
             ("lph_prev", view.of("ph", pred)),
         ]
-        new_cp = _follower_cp(view.my("lcp_prev"), view.of("cp", pred))
+        new_cp = follower_cp(view.my("lcp_prev"), view.of("cp", pred))
         if new_cp is not None:
             updates.append(("lcp_prev", new_cp))
         return updates
@@ -96,23 +91,18 @@ def _make_t1(domain: SequenceNumberDomain, nphases: int):
 
     def stmt(view: StateView):
         updates: list[tuple[str, Any]] = [("sn", domain.succ(view.my("lsn_prev")))]
-        cp0 = view.my("cp")
         ph0 = view.my("ph")
         lcp = view.my("lcp_prev")
         lph = view.my("lph_prev")
-        if cp0 is CP.READY and lcp is CP.READY and lph == ph0:
-            updates.append(("cp", CP.EXECUTE))
-        elif cp0 is CP.EXECUTE:
-            updates.append(("cp", CP.SUCCESS))
-        elif cp0 is CP.SUCCESS:
-            if lcp is CP.SUCCESS and lph == ph0:
-                updates.append(("ph", (ph0 + 1) % nphases))
-            else:
-                updates.append(("ph", lph))
-            updates.append(("cp", CP.READY))
-        elif cp0 is CP.ERROR or cp0 is CP.REPEAT:
+        new_cp, step = root_step(
+            view.my("cp"), lcp is CP.READY, lcp is CP.SUCCESS, lph == ph0
+        )
+        if step is PhaseStep.ADVANCE:
+            updates.append(("ph", phase_succ(ph0, nphases)))
+        elif step is PhaseStep.ADOPT:
             updates.append(("ph", lph))
-            updates.append(("cp", CP.READY))
+        if new_cp is not None:
+            updates.append(("cp", new_cp))
         return updates
 
     return guard, stmt
@@ -130,7 +120,7 @@ def _make_t2():
             ("sn", view.my("lsn_prev")),
             ("ph", view.my("lph_prev")),
         ]
-        new_cp = _follower_cp(view.my("cp"), view.my("lcp_prev"))
+        new_cp = follower_cp(view.my("cp"), view.my("lcp_prev"))
         if new_cp is not None:
             updates.append(("cp", new_cp))
         return updates

@@ -11,7 +11,7 @@ this instance" back to process 0.
 Statement superposed on T1 at process 0 (paper text, extended to the
 branching topologies of Section 4.2 where ``N`` becomes the set of
 finals, and -- per the Lemma 4.1.2/4.1.3 proof text -- with the recovery
-case for a corrupted control position at 0)::
+case for a corrupted control position at 0), ``control.root_step``::
 
     if cp.0 = ready and cp.F = ready and ph.F = ph.0 then cp.0 := execute
     elseif cp.0 = execute then cp.0 := success
@@ -22,7 +22,8 @@ case for a corrupted control position at 0)::
     elseif cp.0 in {error, repeat} then
         ph.0 := ph.(some final); cp.0 := ready
 
-Statement superposed on T2 at process j != 0 (parent p)::
+Statement superposed on T2 at process j != 0 (parent p), whose ``cp``
+ladder is ``control.follower_cp``::
 
     ph.j := ph.p
     if cp.j = ready and cp.p = execute then cp.j := execute
@@ -35,7 +36,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.barrier.control import CP, RB_CP_DOMAIN
+from repro.barrier.control import (
+    CP,
+    RB_CP_DOMAIN,
+    PhaseStep,
+    follower_cp,
+    phase_succ,
+    root_step,
+)
 from repro.barrier.tokenring import build_token_actions
 from repro.gc.actions import StateView
 from repro.gc.domains import BOT, IntRange, SequenceNumberDomain
@@ -50,29 +58,22 @@ def make_root_update(topology: Topology, nphases: int):
     finals = topology.finals
 
     def stmt(view: StateView):
-        cp0 = view.my("cp")
         ph0 = view.my("ph")
         final_cps = [view.of("cp", f) for f in finals]
         final_phs = [view.of("ph", f) for f in finals]
-        finals_ready = all(c is CP.READY for c in final_cps)
-        finals_success = all(c is CP.SUCCESS for c in final_cps)
-        finals_in_phase = all(p == ph0 for p in final_phs)
+        new_cp, step = root_step(
+            view.my("cp"),
+            all(c is CP.READY for c in final_cps),
+            all(c is CP.SUCCESS for c in final_cps),
+            all(p == ph0 for p in final_phs),
+        )
         updates: list[tuple[str, Any]] = []
-        if cp0 is CP.READY and finals_ready and finals_in_phase:
-            updates.append(("cp", CP.EXECUTE))
-        elif cp0 is CP.EXECUTE:
-            updates.append(("cp", CP.SUCCESS))
-        elif cp0 is CP.SUCCESS:
-            if finals_success and finals_in_phase:
-                updates.append(("ph", (ph0 + 1) % nphases))
-            else:
-                updates.append(("ph", view.choose(final_phs)))
-            updates.append(("cp", CP.READY))
-        elif cp0 is CP.ERROR or cp0 is CP.REPEAT:
+        if step is PhaseStep.ADVANCE:
+            updates.append(("ph", phase_succ(ph0, nphases)))
+        elif step is PhaseStep.ADOPT:
             updates.append(("ph", view.choose(final_phs)))
-            updates.append(("cp", CP.READY))
-        # cp0 = ready but finals not ready/in-phase: the token circulates
-        # without a barrier-layer change.
+        if new_cp is not None:
+            updates.append(("cp", new_cp))
         return updates
 
     return stmt
@@ -83,17 +84,10 @@ def make_follower_update(topology: Topology, pid: int):
     parent = topology.parent[pid]
 
     def stmt(view: StateView):
-        cpj = view.my("cp")
-        cpp = view.of("cp", parent)
         updates: list[tuple[str, Any]] = [("ph", view.of("ph", parent))]
-        if cpj is CP.READY and cpp is CP.EXECUTE:
-            updates.append(("cp", CP.EXECUTE))
-        elif cpj is CP.EXECUTE and cpp is CP.SUCCESS:
-            updates.append(("cp", CP.SUCCESS))
-        elif cpj is not CP.EXECUTE and cpp is CP.READY:
-            updates.append(("cp", CP.READY))
-        elif cpj is CP.ERROR or cpp is not cpj:
-            updates.append(("cp", CP.REPEAT))
+        new_cp = follower_cp(view.my("cp"), view.of("cp", parent))
+        if new_cp is not None:
+            updates.append(("cp", new_cp))
         return updates
 
     return stmt

@@ -1,15 +1,18 @@
-"""Lookup-table compilation of the RB update rules (Section 8).
+"""Lookup-table views of the RB update rules (Section 8).
 
 "our program is concise and can be implemented as a simple table
 lookup.  Therefore, it can be implemented in the hardware."
 
-This module makes that claim executable: the follower (non-0) control
-position update is compiled into a table indexed by
-``(cp.j, cp.parent)``, and the root update into a table indexed by
-``(cp.0, finals-ready?, finals-success?, finals-in-phase?)``.  The test
-suite verifies the tables agree with the guarded-command statements on
-every input, and counts the bits of state per process (the paper's
-O(log N) claim).
+This module makes that claim executable.  The tables are enumerations
+of the two rules in :mod:`repro.barrier.control`, not a copy of them:
+the follower (non-0) control-position rule
+:func:`~repro.barrier.control.follower_cp` is tabulated over
+``(cp.j, cp.parent)``, and the root rule
+:func:`~repro.barrier.control.root_step` over ``(cp.0, finals-ready?,
+finals-success?, finals-in-phase?)``, each result named by what process
+0 does.  The test suite checks the tables against the notation program
+:func:`repro.barrier.sources.compile_rb` on every input, and counts the
+bits of state per process (the paper's O(log N) claim).
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.barrier.control import CP
-
-_ALL_CP = (CP.READY, CP.EXECUTE, CP.SUCCESS, CP.ERROR, CP.REPEAT)
+from repro.barrier.control import CP, RB_CP_DOMAIN, PhaseStep, follower_cp, root_step
 
 
 def follower_table() -> Mapping[tuple[CP, CP], CP]:
@@ -29,64 +30,45 @@ def follower_table() -> Mapping[tuple[CP, CP], CP]:
     value, so the table is total (25 entries).
     """
     table: dict[tuple[CP, CP], CP] = {}
-    for current in _ALL_CP:
-        for upstream in _ALL_CP:
-            if current is CP.READY and upstream is CP.EXECUTE:
-                new = CP.EXECUTE
-            elif current is CP.EXECUTE and upstream is CP.SUCCESS:
-                new = CP.SUCCESS
-            elif current is not CP.EXECUTE and upstream is CP.READY:
-                new = CP.READY
-            elif current is CP.ERROR or upstream is not current:
-                new = CP.REPEAT
-            else:
-                new = current
-            table[(current, upstream)] = new
+    for current in RB_CP_DOMAIN.members:
+        for upstream in RB_CP_DOMAIN.members:
+            new = follower_cp(current, upstream)
+            table[(current, upstream)] = current if new is None else new
     return table
 
 
 #: Root decision outcomes: what process 0 does upon receiving the token.
 ROOT_BEGIN = "begin-instance"  # cp.0 := execute
+ROOT_TO_SUCCESS = "to-success"  # cp.0 := success
 ROOT_COMPLETE = "complete-phase"  # ph.0 += 1; cp.0 := ready
 ROOT_REEXECUTE = "re-execute"  # ph.0 := ph.final; cp.0 := ready
 ROOT_RECOVER = "recover"  # (error/repeat) ph.0 := ph.final; cp.0 := ready
 ROOT_IDLE = "idle"  # forward the token, change nothing
 
 
+def _root_decision(cp0: CP, new_cp: CP | None, step: PhaseStep) -> str:
+    if step is PhaseStep.ADVANCE:
+        return ROOT_COMPLETE
+    if step is PhaseStep.ADOPT:
+        return ROOT_REEXECUTE if cp0 is CP.SUCCESS else ROOT_RECOVER
+    if new_cp is CP.EXECUTE:
+        return ROOT_BEGIN
+    if new_cp is CP.SUCCESS:
+        return ROOT_TO_SUCCESS
+    return ROOT_IDLE
+
+
 def root_table() -> Mapping[tuple[CP, bool, bool, bool], str]:
     """``(cp.0, finals_ready, finals_success, finals_in_phase) ->
-    decision`` for the superposed T1 statement."""
+    decision`` for the superposed T1 statement (40 entries)."""
     table: dict[tuple[CP, bool, bool, bool], str] = {}
-    for cp0 in _ALL_CP:
+    for cp0 in RB_CP_DOMAIN.members:
         for ready in (False, True):
             for success in (False, True):
                 for in_phase in (False, True):
-                    if cp0 is CP.READY:
-                        decision = (
-                            ROOT_BEGIN if ready and in_phase else ROOT_IDLE
-                        )
-                    elif cp0 is CP.EXECUTE:
-                        decision = ROOT_COMPLETE  # cp.0 := success; the
-                        # "complete" here is the execute->success step
-                    elif cp0 is CP.SUCCESS:
-                        decision = (
-                            ROOT_COMPLETE
-                            if success and in_phase
-                            else ROOT_REEXECUTE
-                        )
-                    else:  # error / repeat
-                        decision = ROOT_RECOVER
-                    table[(cp0, ready, success, in_phase)] = decision
+                    key = (cp0, ready, success, in_phase)
+                    table[key] = _root_decision(cp0, *root_step(*key))
     return table
-
-
-# Naming nit: for cp0=EXECUTE the decision constant is reused to mean
-# "advance the root's own control position"; disambiguate for clients:
-def root_decision(cp0: CP, ready: bool, success: bool, in_phase: bool) -> str:
-    """Decision lookup with the EXECUTE case named explicitly."""
-    if cp0 is CP.EXECUTE:
-        return "to-success"
-    return root_table()[(cp0, ready, success, in_phase)]
 
 
 def state_bits(nprocs: int, nphases: int, k: int | None = None) -> int:

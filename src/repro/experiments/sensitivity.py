@@ -23,11 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.barrier.control import CP
+from repro.barrier.control import CP, RB_CP_DOMAIN
 from repro.des.network import LinkFaults
 from repro.experiments.report import ExperimentResult
 from repro.experiments.sweep import SweepExecutor, run_grid
-from repro.protosim.recovery import _PERTURB_STATES
 from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
 from repro.topology.graphs import kary_tree
 
@@ -91,9 +90,7 @@ def severity_point(
         )
         for pid in victims:
             node = sim.nodes[pid]
-            node.state = _PERTURB_STATES[
-                int(rng.integers(0, len(_PERTURB_STATES)))
-            ]
+            node.state = RB_CP_DOMAIN.sample(rng)
             node.phase = int(rng.integers(0, 8))
             node.work_end = (
                 rng.uniform(0.0, 1.0) if node.state is CP.EXECUTE else -1.0

@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import mean
 
-from repro.barrier.control import CP
+from repro.barrier.control import CP, RB_CP_DOMAIN
 from repro.obs.tracer import ensure_tracer
 from repro.protosim.treebarrier import FTTreeBarrierSim, SimConfig
 from repro.topology.graphs import kary_tree
-
-_PERTURB_STATES = (CP.READY, CP.EXECUTE, CP.SUCCESS, CP.ERROR, CP.REPEAT)
 
 
 @dataclass
@@ -101,7 +99,7 @@ class RecoveryExperiment:
 
         # The undetectable fault: arbitrary state at every process.
         for node in sim.nodes:
-            node.state = _PERTURB_STATES[int(rng.integers(0, len(_PERTURB_STATES)))]
+            node.state = RB_CP_DOMAIN.sample(rng)
             node.phase = int(rng.integers(0, self.phase_values))
             if node.state is CP.EXECUTE:
                 node.work_end = rng.uniform(0.0, self.work_time)

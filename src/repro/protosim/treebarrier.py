@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from math import inf
 from typing import Any, Literal
 
-from repro.barrier.control import CP
+from repro.barrier.control import CP, RB_CP_DOMAIN, follower_cp
 from repro.des.core import Simulation
 from repro.obs.tracer import ensure_tracer
 from repro.protosim.faultenv import DetectableFaultEnv
@@ -233,8 +233,6 @@ class FTTreeBarrierSim:
             return
         self.sim.at(t, self._inject_scramble)
 
-    _SCRAMBLE_STATES = (CP.READY, CP.EXECUTE, CP.SUCCESS, CP.ERROR, CP.REPEAT)
-
     def _inject_scramble(self) -> None:
         victim = self._scramble_env.victim(self.sim.rng("scrambles"))
         self._apply_scramble(victim)
@@ -244,7 +242,7 @@ class FTTreeBarrierSim:
         """An undetectable fault: arbitrary state at one node."""
         rng = self.sim.rng("scrambles")
         node = self.nodes[victim]
-        node.state = self._SCRAMBLE_STATES[int(rng.integers(0, 5))]
+        node.state = RB_CP_DOMAIN.sample(rng)
         node.phase = int(rng.integers(0, min(self.config.nphases, 64)))
         node.work_end = (
             self.sim.now + rng.uniform(0.0, self.config.work_time)
@@ -315,17 +313,14 @@ class FTTreeBarrierSim:
             return
 
         node.phase = p_phase
-        if st is CP.READY and p_state is CP.EXECUTE:
-            node.state = CP.EXECUTE
-            node.work_end = self._work_start(now) + self.config.work_time
-            self._participants.add(pid)
-        elif st is CP.EXECUTE and p_state is CP.SUCCESS:
-            node.state = CP.SUCCESS
-        elif st is not CP.EXECUTE and p_state is CP.READY:
-            node.state = CP.READY
-        elif st is CP.ERROR or p_state is not st:
-            node.state = CP.REPEAT
-            node.work_end = -1.0  # abandon doomed work
+        new = follower_cp(st, p_state)
+        if new is not None:
+            node.state = new
+            if new is CP.EXECUTE:  # ready -> execute: start the work
+                node.work_end = self._work_start(now) + self.config.work_time
+                self._participants.add(pid)
+            elif new is CP.REPEAT:
+                node.work_end = -1.0  # abandon doomed work
         # else: states agree -- forward unchanged.
 
         if pid in self.finals:
@@ -397,6 +392,9 @@ class FTTreeBarrierSim:
     # Root state machine (RB's T1 update, timed)
     # ------------------------------------------------------------------
     def _root_step(self) -> None:
+        """Process 0's T1 in DES time.  Not :func:`~repro.barrier.control.
+        root_step`: it aborts doomed execute waves early and keeps ``ph.0``
+        on a failed success wave, both of which Figs 6/7 are measured with."""
         root = self.nodes[0]
         now = self.sim.now
         finals = [self.nodes[f] for f in self.finals]
@@ -481,7 +479,8 @@ class FTTreeBarrierSim:
                 self._complete_instance(now, success=False)
                 # RB: ph.0 := ph.N; under detectable faults the finals'
                 # phase equals the root's, so keeping root.phase is the
-                # same assignment.
+                # same assignment.  Under scrambles it can differ: then
+                # this keeps ph.0 where RB adopts ph.N.
             root.state = CP.READY
             self._start_wave()
             return

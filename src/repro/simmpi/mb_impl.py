@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Mapping, Sequence
 
-from repro.barrier.control import CP
+from repro.barrier.control import CP, PhaseStep, follower_cp, phase_succ, root_step
 from repro.gc.domains import BOT, TOP
 from repro.obs.tracer import ensure_tracer
 
@@ -35,18 +35,6 @@ STATE_TAG = 77
 
 def _ordinary(value: Any) -> bool:
     return value is not BOT and value is not TOP
-
-
-def _follower_cp(current: CP, upstream: CP) -> CP | None:
-    if current is CP.READY and upstream is CP.EXECUTE:
-        return CP.EXECUTE
-    if current is CP.EXECUTE and upstream is CP.SUCCESS:
-        return CP.SUCCESS
-    if current is not CP.EXECUTE and upstream is CP.READY:
-        return CP.READY
-    if current is CP.ERROR or upstream is not current:
-        return CP.REPEAT
-    return None
 
 
 @dataclass
@@ -85,7 +73,7 @@ class MBMachine:
             if _ordinary(sn) and self.lsn_prev != sn:
                 self.lsn_prev = sn
                 self.lph_prev = ph
-                new = _follower_cp(self.lcp_prev, cp)
+                new = follower_cp(self.lcp_prev, cp)
                 if new is not None:
                     self.lcp_prev = new
         if src == (self.rank + 1) % self.size:
@@ -140,26 +128,23 @@ class MBMachine:
         if self.sn != self.lsn_prev and _ordinary(self.sn):
             return False
         self.sn = (self.lsn_prev + 1) % self.l_domain
-        if (
-            self.cp is CP.READY
-            and self.lcp_prev is CP.READY
-            and self.lph_prev == self.ph
-        ):
-            self.cp = CP.EXECUTE
-            self.events.append("enter-execute")
-        elif self.cp is CP.EXECUTE:
-            self.cp = CP.SUCCESS
-        elif self.cp is CP.SUCCESS:
-            if self.lcp_prev is CP.SUCCESS and self.lph_prev == self.ph:
-                self.ph = (self.ph + 1) % self.nphases
-                self.events.append("phase-complete")
-            else:
-                self.ph = self.lph_prev
+        new_cp, step = root_step(
+            self.cp,
+            self.lcp_prev is CP.READY,
+            self.lcp_prev is CP.SUCCESS,
+            self.lph_prev == self.ph,
+        )
+        if step is PhaseStep.ADVANCE:
+            self.ph = phase_succ(self.ph, self.nphases)
+            self.events.append("phase-complete")
+        elif step is PhaseStep.ADOPT:
+            if self.cp is CP.SUCCESS:  # the success wave failed
                 self.events.append("re-execute")
-            self.cp = CP.READY
-        elif self.cp is CP.ERROR or self.cp is CP.REPEAT:
             self.ph = self.lph_prev
-            self.cp = CP.READY
+        if new_cp is not None:
+            if new_cp is CP.EXECUTE:
+                self.events.append("enter-execute")
+            self.cp = new_cp
         return True
 
     def _t2(self) -> bool:
@@ -175,7 +160,7 @@ class MBMachine:
             # The hand-over wave reached this follower: its phase is done.
             self.events.append("phase-complete")
         self.ph = self.lph_prev
-        new = _follower_cp(self.cp, self.lcp_prev)
+        new = follower_cp(self.cp, self.lcp_prev)
         if new is not None:
             if new is CP.EXECUTE:
                 self.events.append("enter-execute")

@@ -1,8 +1,11 @@
 """The distributed MB implementation over real messages."""
 
+import itertools
+
 import pytest
 
 from repro.barrier.control import CP
+from repro.barrier.mb import make_mb
 from repro.des.network import LinkFaults
 from repro.gc.domains import BOT, TOP
 from repro.simmpi import Runtime
@@ -59,6 +62,80 @@ class TestMachine:
         m = MBMachine(rank=1, size=5, nphases=4, l_domain=10)
         m.on_neighbor_state(3, 7, CP.SUCCESS, 2)
         assert m.lsn_prev == 0 and m.lsn_next == 0
+
+
+class TestMachineAgainstProgram:
+    """``MBMachine`` -- the code that runs -- against the paper's program
+    MB (:func:`repro.barrier.mb.make_mb`) on every local state of a
+    2-ring with ``L = 4`` and 2 phases (21 600 states per rank)."""
+
+    LOCAL = ("sn", "cp", "ph", "lsn_prev", "lcp_prev", "lph_prev", "lsn_next")
+    COPIES = ("lsn_prev", "lcp_prev", "lph_prev", "lsn_next")
+
+    def setup_method(self):
+        self.program = make_mb(2, nphases=2, l_domain=4)
+        self.state = self.program.initial_state()
+
+    def machine(self, rank, values):
+        return MBMachine(rank=rank, size=2, nphases=2, l_domain=4, **values)
+
+    def product(self, names):
+        domains = self.program.domains
+        return itertools.product(*(domains[v].values() for v in names))
+
+    def actions(self, rank, kind):
+        return [a for a in self.program.processes[rank].actions if a.kind == kind]
+
+    def test_step_is_an_enabled_local_action(self):
+        """``step()`` changes the state exactly when one of T1-T5 is
+        enabled, and lands on one of their successors."""
+        state = self.state
+        for rank in range(2):
+            local = self.actions(rank, "local")
+            for values in self.product(self.LOCAL):
+                before = dict(zip(self.LOCAL, values))
+                for var, value in before.items():
+                    state.set(var, rank, value)
+                successors = []
+                for action in local:
+                    if action.enabled(state):
+                        after = dict(before, **dict(action.updates(state)))
+                        successors.append(tuple(after[v] for v in self.LOCAL))
+                m = self.machine(rank, before)
+                changed = m.step()
+                got = tuple(getattr(m, v) for v in self.LOCAL)
+                assert changed == bool(successors), (rank, before)
+                assert got in successors if changed else got == values
+
+    def test_neighbor_push_is_cprev_and_cnext(self):
+        """``on_neighbor_state`` applies CPREV and CNEXT (on a 2-ring the
+        one neighbour is both predecessor and successor).
+
+        The last rank has no CNEXT and no action of it reads
+        ``lsn_next``; the machine still tracks that copy there, so it is
+        left out of the comparison at rank N."""
+        state = self.state
+        for rank in range(2):
+            other = 1 - rank
+            comm = self.actions(rank, "comm")
+            compared = self.COPIES if rank == 0 else self.COPIES[:-1]
+            for copies in self.product(self.COPIES):
+                before = dict(zip(self.COPIES, copies))
+                for var, value in before.items():
+                    state.set(var, rank, value)
+                for sn, cp, ph in self.product(("sn", "cp", "ph")):
+                    state.set("sn", other, sn)
+                    state.set("cp", other, cp)
+                    state.set("ph", other, ph)
+                    after = dict(before)
+                    for action in comm:
+                        if action.enabled(state):
+                            after.update(action.updates(state))
+                    m = self.machine(rank, before)
+                    m.on_neighbor_state(other, sn, cp, ph)
+                    got = [getattr(m, v) for v in compared]
+                    expected = [after[v] for v in compared]
+                    assert got == expected, (rank, before, sn, cp, ph)
 
 
 class TestDistributedRuns:
